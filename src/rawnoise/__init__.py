@@ -30,7 +30,7 @@ from .oracle import (
     estimate_params_oracle,
     estimate_row_sigma,
 )
-from .streams import derive_stream, derive_streams
+from .streams import derive_stream
 from .wavelets import haar_dwt2, haar_idwt2
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ __all__ = [
     "as_patch",
     "build_histogram",
     "derive_stream",
-    "derive_streams",
     "estimate_color_bias",
     "estimate_gain_and_read",
     "estimate_params_oracle",

@@ -71,12 +71,12 @@ def _load_camera(path) -> CameraModel:
     return CameraModel.from_dict(record)
 
 
-def _save_camera(path, model: CameraModel) -> None:
-    atomic_write_text(Path(path), json.dumps(model.as_dict(), sort_keys=True, indent=2) + "\n")
-
-
 def _save_json(path, record: dict) -> None:
     atomic_write_text(Path(path), json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def _params_row(image_id: str, params: NoiseParams) -> list[str]:
+    return [image_id, _fmt(params.K), _fmt(params.sigma), _fmt(params.mu_c), _fmt(params.sigma_r)]
 
 
 def _params_csv_rows(rows: list[list[str]]) -> str:
@@ -98,9 +98,7 @@ def _append_params_csv(path, image_id: str, params: NoiseParams) -> None:
             if header != PARAM_CSV_HEADER:
                 raise DomainError(f"{path} does not carry the parameter CSV header")
             rows = [row for row in reader if row]
-    rows.append(
-        [image_id, _fmt(params.K), _fmt(params.sigma), _fmt(params.mu_c), _fmt(params.sigma_r)]
-    )
+    rows.append(_params_row(image_id, params))
     atomic_write_text(path, _params_csv_rows(rows))
 
 
@@ -147,13 +145,18 @@ def _read_estimates_csv(path) -> tuple[ParamSet, list[tuple[float, float]]]:
         for row in reader:
             if not row:
                 continue
-            image_id, k, sigma, mu_c, sigma_r = row[:5]
-            params = NoiseParams(
-                K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
-            )
+            try:
+                if len(row) < len(PARAM_CSV_HEADER):
+                    raise ValueError(f"expected {len(PARAM_CSV_HEADER)} fields, got {len(row)}")
+                image_id, k, sigma, mu_c, sigma_r = row[:5]
+                params = NoiseParams(
+                    K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
+                )
+                if has_iso and len(row) > 5 and row[5] != "":
+                    iso_pairs.append((float(row[5]), float(k)))
+            except ValueError as exc:
+                raise DomainError(f"{path} row {reader.line_num}: {exc}") from exc
             entries.append((image_id, params))
-            if has_iso and len(row) > 5 and row[5] != "":
-                iso_pairs.append((float(row[5]), float(k)))
     if len(entries) < 2:
         raise InsufficientDataError(f"{path} holds {len(entries)} estimate row(s); need >= 2")
     return ParamSet(entries), iso_pairs
@@ -166,7 +169,7 @@ def _cmd_calibrate(args) -> int:
         model = CameraModel.from_dict(
             {**model.as_dict(), "alpha": calibration.fit_iso_gain(iso_pairs)}
         )
-    _save_camera(args.out, model)
+    _save_json(args.out, model.as_dict())
     print(
         f"fit over {len(params)} estimates: "
         f"a={model.a:.6g} b={model.b:.6g} sigma_hat={model.sigma_hat:.6g} | "
@@ -244,15 +247,7 @@ def _cmd_sample_params(args) -> int:
             params = calibration.sample_params_at_iso(model, args.iso, rng)
         else:
             params = calibration.sample_params(model, rng)
-        rows.append(
-            [
-                f"sample_{i:05d}",
-                _fmt(params.K),
-                _fmt(params.sigma),
-                _fmt(params.mu_c),
-                _fmt(params.sigma_r),
-            ]
-        )
+        rows.append(_params_row(f"sample_{i:05d}", params))
     atomic_write_text(Path(args.out), _params_csv_rows(rows))
     _save_json(
         str(args.out) + ".provenance.json",
@@ -271,7 +266,19 @@ def _cmd_sample_params(args) -> int:
 # gen-dataset
 
 
+def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index) -> None:
+    """Corrupt ``clean`` and write ``<stem>.nraw`` with its ``<stem>.json`` manifest."""
+    noisy, _ = synthesize_noise(clean, params, rng)
+    write_tensor(stem.with_suffix(".nraw"), noisy)
+    Manifest(camera_id=camera_id, params=params, seed=seed, stream_index=index).save(
+        stem.with_suffix(".json")
+    )
+
+
 def _cmd_gen_dataset(args) -> int:
+    for flag in ("count", "height", "width"):
+        if getattr(args, flag) < 1:
+            raise DomainError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     out = Path(args.out)
     provenance = {
         "command": "gen-dataset",
@@ -295,12 +302,10 @@ def _cmd_gen_dataset(args) -> int:
             scene = synthetic.make_scene(rng, args.height, args.width, args.white_level)
             camera_id, camera = cameras[rng.integers(len(cameras))]
             params = calibration.sample_params(camera, rng)
-            noisy, _ = synthesize_noise(scene, params, rng)
             write_tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
-            write_tensor(out / "noisy" / f"patch_{i:05d}.nraw", noisy)
-            Manifest(
-                camera_id=camera_id, params=params, seed=args.seed, stream_index=i
-            ).save(out / "noisy" / f"patch_{i:05d}.json")
+            _write_noisy(
+                out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i
+            )
         return 0
 
     params = _load_params_arg(args.params) if args.params else None
@@ -308,7 +313,10 @@ def _cmd_gen_dataset(args) -> int:
         raise ConfigurationError(f"{args.mode} mode needs --params")
     shape = (4, args.height, args.width)
     if args.mode == "flat":
-        levels = [float(v) for v in args.levels.split(",")] if args.levels else []
+        try:
+            levels = [float(v) for v in args.levels.split(",")] if args.levels else []
+        except ValueError as exc:
+            raise ConfigurationError(f"--levels must be comma-separated numbers: {exc}") from exc
         if not levels:
             raise ConfigurationError("flat mode needs --levels, e.g. --levels 2,8,32,128")
         if any(level < 0 for level in levels):
@@ -319,27 +327,24 @@ def _cmd_gen_dataset(args) -> int:
         index = 0
         for j, level in enumerate(levels):
             level_dir = out / f"level_{j:02d}"
-            write_tensor(level_dir / "clean.nraw", np.full(shape, level))
+            clean = np.full(shape, level)
+            write_tensor(level_dir / "clean.nraw", clean)
             for k in range(args.count):
                 rng = derive_stream(args.seed, index)
-                noisy, _ = synthesize_noise(np.full(shape, level), params, rng)
-                write_tensor(level_dir / f"noisy_{k:04d}.nraw", noisy)
-                Manifest(
-                    camera_id=args.camera_id, params=params, seed=args.seed, stream_index=index
-                ).save(level_dir / f"noisy_{k:04d}.json")
+                _write_noisy(
+                    level_dir / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed,
+                    index,
+                )
                 index += 1
         return 0
 
     # dark mode: zero illumination
     _save_json(out / "dataset.json", {**provenance, "params": params.as_dict()})
-    write_tensor(out / "clean.nraw", np.zeros(shape))
+    clean = np.zeros(shape)
+    write_tensor(out / "clean.nraw", clean)
     for k in range(args.count):
         rng = derive_stream(args.seed, k)
-        noisy, _ = synthesize_noise(np.zeros(shape), params, rng)
-        write_tensor(out / f"noisy_{k:04d}.nraw", noisy)
-        Manifest(
-            camera_id=args.camera_id, params=params, seed=args.seed, stream_index=k
-        ).save(out / f"noisy_{k:04d}.json")
+        _write_noisy(out / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed, k)
     return 0
 
 

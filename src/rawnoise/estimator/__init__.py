@@ -12,10 +12,8 @@ from .train import (
     backward,
     estimate,
     evaluate_triplets,
-    forward,
     heldout_weighted_mse,
     mean_r_baseline_mse,
-    predict_r,
     total_loss,
     train,
 )
@@ -33,14 +31,12 @@ __all__ = [
     "contrastive_loss",
     "estimate",
     "evaluate_triplets",
-    "forward",
     "heldout_weighted_mse",
     "inverse_param_transform",
     "make_triplet_batch",
     "mean_r_baseline_mse",
     "param_transform_r",
     "parameter_shapes",
-    "predict_r",
     "total_loss",
     "train",
 ]

@@ -104,8 +104,10 @@ class EstimatorCheckpoint:
                 offset += 4
                 dims = struct.unpack(f"<{rank}I", view[offset : offset + 4 * rank])
                 offset += 4 * rank
-            except struct.error as exc:
-                raise BadCheckpointError(f"truncated checkpoint tensor table: {exc}") from exc
+            except (struct.error, UnicodeDecodeError) as exc:
+                raise BadCheckpointError(f"corrupt checkpoint tensor table: {exc}") from exc
+            if name in params:
+                raise BadCheckpointError(f"duplicate checkpoint tensor {name}")
             count = int(np.prod(dims)) if rank else 1
             if offset + 8 * count > len(view):
                 raise BadCheckpointError(f"truncated tensor payload for {name}")

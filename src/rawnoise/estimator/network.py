@@ -11,7 +11,9 @@ stage stays at chance.
 
 Everything is plain numpy with hand-written backward passes, so gradients
 are exact analytic quantities that can be checked against finite
-differences, and training is bit-reproducible on any machine.
+differences.  Training is bit-reproducible on the same machine with the
+same numpy and BLAS build; a BLAS that picks its kernels per CPU (such as
+OpenBLAS built with DYNAMIC_ARCH) may round differently elsewhere.
 
 Parameters live in a flat ``{name: float64 array}`` dict with names like
 ``extractor.0.weight`` / ``projector.1.bias``; convolutions store weights
@@ -28,11 +30,12 @@ import numpy as np
 from ..errors import ShapeError
 from ..noise_core import NUM_CHANNELS
 from ..streams import derive_stream
+from ..wavelets import haar_dwt2
 from .config import EstimatorConfig
 
 HAAR_PLANES = 4 * NUM_CHANNELS
 
-# Per-plane gain after the Haar transform, in _haar_batch's plane order
+# Per-plane gain after the Haar transform, in haar_dwt2's plane order
 # (per channel: LL, then the three detail planes).
 DETAIL_GAIN = 16.0
 BAND_GAIN = np.tile([1.0, DETAIL_GAIN, DETAIL_GAIN, DETAIL_GAIN], NUM_CHANNELS)
@@ -41,7 +44,6 @@ BAND_GAIN = np.tile([1.0, DETAIL_GAIN, DETAIL_GAIN, DETAIL_GAIN], NUM_CHANNELS)
 INIT_STREAM = 0
 DATA_STREAM = 1
 SHUFFLE_STREAM = 2
-EVAL_STREAM = 3
 
 
 def parameter_shapes(config: EstimatorConfig) -> dict[str, tuple[int, ...]]:
@@ -59,21 +61,6 @@ def parameter_shapes(config: EstimatorConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{prefix}.{i}.bias"] = (width,)
             fan_in = width
     return shapes
-
-
-def _haar_batch(patches: np.ndarray) -> np.ndarray:
-    """Batched single-level Haar, same convention as wavelets.haar_dwt2."""
-    p = patches[:, :, 0::2, 0::2]
-    q = patches[:, :, 0::2, 1::2]
-    r = patches[:, :, 1::2, 0::2]
-    s = patches[:, :, 1::2, 1::2]
-    n, _, h, w = p.shape
-    out = np.empty((n, HAAR_PLANES, h, w), dtype=np.float64)
-    out[:, 0::4] = (p + q + r + s) / 2.0
-    out[:, 1::4] = (p - q + r - s) / 2.0
-    out[:, 2::4] = (p + q - r - s) / 2.0
-    out[:, 3::4] = (p - q - r + s) / 2.0
-    return out
 
 
 def _conv_forward(x, weight, bias, stride):
@@ -156,16 +143,7 @@ class EstimatorNetwork:
     """Feature extractor + projector + regression head over Haar subbands."""
 
     def __init__(self, config: EstimatorConfig, params: dict[str, np.ndarray]):
-        expected = parameter_shapes(config)
-        if set(params) != set(expected):
-            missing = sorted(set(expected) - set(params))
-            extra = sorted(set(params) - set(expected))
-            raise ShapeError(f"parameter set mismatch: missing {missing}, extra {extra}")
-        for name, shape in expected.items():
-            if tuple(params[name].shape) != shape:
-                raise ShapeError(
-                    f"parameter {name} has shape {params[name].shape}, expected {shape}"
-                )
+        """``params`` must match ``parameter_shapes(config)``, as a checkpoint's do."""
         self.config = config
         self.params = params
 
@@ -200,7 +178,7 @@ class EstimatorNetwork:
         parameter space; ``cache`` is None unless requested.
         """
         patches = self._check_input(patches)
-        x = _haar_batch(patches)
+        x = haar_dwt2(patches)
         x *= self.config.input_scale * BAND_GAIN[:, None, None]
 
         conv_caches = []

@@ -82,24 +82,16 @@ def _loss_and_grads(
     return parts, grads
 
 
-def total_loss(
-    batch: TripletBatch,
-    checkpoint: EstimatorCheckpoint,
-    config: EstimatorConfig | None = None,
-) -> float:
+def total_loss(batch: TripletBatch, checkpoint: EstimatorCheckpoint) -> float:
     """The joint training objective on one batch (no gradients)."""
-    net = EstimatorNetwork(config or checkpoint.config, checkpoint.params)
+    net = EstimatorNetwork(checkpoint.config, checkpoint.params)
     parts, _ = _loss_and_grads(net, batch, joint=True, want_grads=False)
     return parts["total"]
 
 
-def backward(
-    batch: TripletBatch,
-    checkpoint: EstimatorCheckpoint,
-    config: EstimatorConfig | None = None,
-) -> dict[str, np.ndarray]:
+def backward(batch: TripletBatch, checkpoint: EstimatorCheckpoint) -> dict[str, np.ndarray]:
     """Exact analytic gradients of :func:`total_loss` for every parameter."""
-    net = EstimatorNetwork(config or checkpoint.config, checkpoint.params)
+    net = EstimatorNetwork(checkpoint.config, checkpoint.params)
     _, grads = _loss_and_grads(net, batch, joint=True, want_grads=True)
     return grads
 
@@ -247,25 +239,11 @@ def _stage_trainable(config: EstimatorConfig, stage: int) -> list[str]:
     return trainable
 
 
-def forward(patch: np.ndarray, checkpoint: EstimatorCheckpoint):
-    """Single-patch forward pass: (feature h, projection z, NoiseParams)."""
-    net = EstimatorNetwork(checkpoint.config, checkpoint.params)
-    h, z, r, _ = net.forward_batch(as_patch(patch)[None])
-    params = inverse_param_transform(r[0], checkpoint.config.param_weights)
-    return h[0], z[0], params
-
-
 def estimate(patch: np.ndarray, checkpoint: EstimatorCheckpoint) -> NoiseParams:
     """Estimate the noise parameter tuple of a single noisy patch."""
-    _, _, params = forward(patch, checkpoint)
-    return params
-
-
-def predict_r(checkpoint: EstimatorCheckpoint, patches: np.ndarray) -> np.ndarray:
-    """Raw r-space head outputs for a stack of patches."""
     net = EstimatorNetwork(checkpoint.config, checkpoint.params)
-    _, _, r, _ = net.forward_batch(np.asarray(patches, dtype=np.float64))
-    return r
+    _, _, r, _ = net.forward_batch(as_patch(patch)[None])
+    return inverse_param_transform(r[0], checkpoint.config.param_weights)
 
 
 def evaluate_triplets(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -> dict:
@@ -292,7 +270,8 @@ def evaluate_triplets(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -> d
 def heldout_weighted_mse(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -> float:
     """Mean squared r-space error of anchor predictions on held-out data."""
     config = checkpoint.config
-    r_pred = predict_r(checkpoint, np.asarray(batch.anchors, dtype=np.float64))
+    net = EstimatorNetwork(config, checkpoint.params)
+    _, _, r_pred, _ = net.forward_batch(batch.anchors)
     targets = np.stack([param_transform_r(p, config.param_weights) for p in batch.anchor_params])
     loss, _ = batch_regression(r_pred, targets, want_grad=False)
     return loss

@@ -100,15 +100,3 @@ def make_triplet_batch(
         anchor_params=tuple(t.anchor_params for t in triplets),
         negative_params=tuple(t.negative_params for t in triplets),
     )
-
-
-def slice_batch(batch: TripletBatch, indices) -> TripletBatch:
-    """Sub-batch along the triplet axis (used for epoch shuffling)."""
-    indices = np.asarray(indices)
-    return TripletBatch(
-        anchors=batch.anchors[indices],
-        positives=batch.positives[indices],
-        negatives=batch.negatives[indices],
-        anchor_params=tuple(batch.anchor_params[i] for i in indices),
-        negative_params=tuple(batch.negative_params[i] for i in indices),
-    )

@@ -23,8 +23,3 @@ def derive_stream(master_seed: int, index: int = 0) -> np.random.Generator:
     producing the identical draw sequence.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
-
-
-def derive_streams(master_seed: int, count: int) -> list[np.random.Generator]:
-    """Streams for patch indices ``0 .. count-1``."""
-    return [derive_stream(master_seed, i) for i in range(count)]

@@ -28,24 +28,24 @@ SUBBAND_NAMES = ("LL", "LH", "HL", "HH")
 
 
 def haar_dwt2(patch: np.ndarray) -> np.ndarray:
-    """Forward transform: ``(4, H, W) -> (16, H/2, W/2)``, H and W even."""
+    """Forward transform: ``(..., 4, H, W) -> (..., 16, H/2, W/2)``, H and W even."""
     patch = np.asarray(patch, dtype=np.float64)
-    if patch.ndim != 3 or patch.shape[0] != NUM_CHANNELS:
-        raise ShapeError(f"expected a (4, H, W) patch, got {patch.shape}")
-    _, height, width = patch.shape
+    if patch.ndim < 3 or patch.shape[-3] != NUM_CHANNELS:
+        raise ShapeError(f"expected a (..., 4, H, W) patch, got {patch.shape}")
+    height, width = patch.shape[-2:]
     if height % 2 or width % 2:
         raise ShapeError(f"Haar transform needs even dims, got {height}x{width}")
 
-    p = patch[:, 0::2, 0::2]
-    q = patch[:, 0::2, 1::2]
-    r = patch[:, 1::2, 0::2]
-    s = patch[:, 1::2, 1::2]
+    p = patch[..., 0::2, 0::2]
+    q = patch[..., 0::2, 1::2]
+    r = patch[..., 1::2, 0::2]
+    s = patch[..., 1::2, 1::2]
 
-    out = np.empty((4 * NUM_CHANNELS, height // 2, width // 2), dtype=np.float64)
-    out[0::4] = (p + q + r + s) / 2.0
-    out[1::4] = (p - q + r - s) / 2.0
-    out[2::4] = (p + q - r - s) / 2.0
-    out[3::4] = (p - q - r + s) / 2.0
+    out = np.empty((*patch.shape[:-3], 4 * NUM_CHANNELS, height // 2, width // 2))
+    out[..., 0::4, :, :] = (p + q + r + s) / 2.0
+    out[..., 1::4, :, :] = (p - q + r - s) / 2.0
+    out[..., 2::4, :, :] = (p + q - r - s) / 2.0
+    out[..., 3::4, :, :] = (p - q - r + s) / 2.0
     return out
 
 

@@ -100,6 +100,20 @@ class TestCalibrate:
         assert run("calibrate", "--estimates", csv_path, "--out", out) == 0
         assert json.loads(out.read_text())["alpha"] == pytest.approx(0.005, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "bad_row", ["img1,1.0,1.0", "img1,1.0,abc,0.0,1.0"], ids=["short", "non_numeric"]
+    )
+    def test_malformed_row_is_domain_error(self, tmp_path, capsys, bad_row):
+        """The header is row 1, so the bad third line is reported as row 3."""
+        csv_path = tmp_path / "est.csv"
+        csv_path.write_text(
+            "image_id,K,sigma,mu_c,sigma_r\nimg0,1.0,1.0,0.0,1.0\n" + bad_row + "\n"
+        )
+        out = tmp_path / "c.json"
+        assert run("calibrate", "--estimates", csv_path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"DOMAIN: {csv_path} row 3: ")
+        assert not out.exists()
+
 
 class TestSampleParams:
     def _camera(self, tmp_path, k_min=2.0, k_max=2.0):
@@ -144,6 +158,24 @@ class TestGenDatasetAndOracle:
             ) == 0
         for rel in ("clean.nraw", "noisy_0000.nraw", "noisy_0002.json"):
             assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--mode", "dark", "--count", -3, "--height", 0], "DOMAIN"),
+            (["--mode", "dark", "--count", 0], "DOMAIN"),
+            (["--mode", "dark", "--count", 2, "--height", 0], "DOMAIN"),
+            (["--mode", "dark", "--count", 2, "--width", -1], "DOMAIN"),
+            (["--mode", "flat", "--count", 2, "--levels", "2,x"], "CONFIG"),
+        ],
+        ids=["negative_count_zero_height", "zero_count", "zero_height", "negative_width",
+             "non_numeric_level"],
+    )
+    def test_bad_flags_rejected_before_writing(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "set"
+        assert run("gen-dataset", "--out", out, "--seed", 1, "--params", PARAMS_JSON, *flags) == 2
+        assert capsys.readouterr().err.startswith(f"{code}: ")
+        assert not out.exists()
 
     def test_oracle_estimate_round_trip(self, tmp_path):
         params = '{"K": 1.0, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'

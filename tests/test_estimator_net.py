@@ -1,5 +1,7 @@
 """Network forward contracts, triplet construction, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from rawnoise.estimator import (
     EstimatorConfig,
     EstimatorNetwork,
     augment_triplet,
-    forward,
+    estimate,
     make_triplet_batch,
     parameter_shapes,
 )
@@ -62,7 +64,8 @@ class TestForward:
         params = {name: np.zeros(s) for name, s in parameter_shapes(TINY).items()}
         checkpoint = EstimatorCheckpoint(config=TINY, params=params)
         patch = np.full((4, 8, 8), 13.0)
-        h, z, p_hat = forward(patch, checkpoint)
+        h, z, _, _ = EstimatorNetwork(TINY, checkpoint.params).forward_batch(patch[None])
+        p_hat = estimate(patch, checkpoint)
         assert np.all(h == 0.0) and np.all(z == 0.0)
         assert p_hat.K == 1e-6
         assert p_hat.sigma == 1.0
@@ -162,6 +165,31 @@ class TestCheckpointFormat:
         path.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(BadCheckpointError):
             EstimatorCheckpoint.load(path)
+
+    def test_non_utf8_tensor_name_rejected(self):
+        net = EstimatorNetwork.initialize(TINY)
+        raw = EstimatorCheckpoint(config=TINY, params=net.params).to_bytes()
+        # The first tensor record follows the header blob; its name starts
+        # after the record's 4-byte name length.
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        at = 12 + blob_len + 4
+        corrupt = raw[:at] + b"\xff" + raw[at + 1 :]
+        with pytest.raises(BadCheckpointError):
+            EstimatorCheckpoint.from_bytes(corrupt)
+
+    def test_duplicate_tensor_name_rejected(self):
+        """A repeated record must not silently replace the first one."""
+        net = EstimatorNetwork.initialize(TINY)
+        raw = EstimatorCheckpoint(config=TINY, params=net.params).to_bytes()
+        name = sorted(net.params)[-1]
+        tensor = net.params[name]
+        record = (
+            struct.pack("<I", len(name)) + name.encode("utf-8")
+            + struct.pack("<I", tensor.ndim) + struct.pack(f"<{tensor.ndim}I", *tensor.shape)
+            + np.zeros_like(tensor).astype("<f8").tobytes()
+        )
+        with pytest.raises(BadCheckpointError):
+            EstimatorCheckpoint.from_bytes(raw + record)
 
     def test_truncation_rejected(self, tmp_path):
         net = EstimatorNetwork.initialize(TINY)

@@ -36,6 +36,16 @@ class TestForward:
         out = haar_dwt2(np.zeros((4, 16, 10)))
         assert out.shape == (16, 8, 5)
 
+    def test_batch_matches_per_patch(self):
+        """An (N, 4, H, W) stack transforms exactly like each patch alone."""
+        stack = np.random.default_rng(46).uniform(0, 1023, size=(5, 4, 12, 8))
+        expected = np.stack([haar_dwt2(patch) for patch in stack])
+        assert np.array_equal(haar_dwt2(stack), expected)
+
+    def test_batch_channel_count_checked(self):
+        with pytest.raises(ShapeError):
+            haar_dwt2(np.zeros((2, 3, 8, 8)))
+
 
 class TestInverse:
     def test_round_trip(self):

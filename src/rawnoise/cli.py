@@ -239,6 +239,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sample_params(args) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be >= 1, got {args.count}")
     model = _load_camera(args.camera)
     rng = derive_stream(args.seed, 0)
     rows = []
@@ -435,6 +437,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _stream_int(text: str) -> int:
+    """argparse type of every seed and stream index: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rawnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -442,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="corrupt a clean patch with the full noise model")
     p.add_argument("--clean", required=True, help="clean NRAW tensor")
     p.add_argument("--params", required=True, help="NoiseParams JSON file or inline object")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream-index", type=int, default=0, help="per-patch stream index")
+    p.add_argument("--seed", type=_stream_int, required=True)
+    p.add_argument("--stream-index", type=_stream_int, default=0, help="per-patch stream index")
     p.add_argument("--out", required=True, help="noisy NRAW output")
     p.add_argument("--clamp", action="store_true", help="clamp output to [0, white level]")
     p.add_argument("--white-level", type=float, default=synthetic.DEFAULT_WHITE_LEVEL)
@@ -469,14 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-params", help="sample parameter tuples from a camera model")
     p.add_argument("--camera", required=True, help="camera model JSON")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_stream_int, required=True)
     p.add_argument("--out", required=True, help="CSV output")
     p.add_argument("--iso", type=float, help="pin the gain via the fitted ISO slope")
     p.set_defaults(func=_cmd_sample_params)
 
     p = sub.add_parser("gen-dataset", help="produce clean/noisy tensor trees with manifests")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_stream_int, required=True)
     p.add_argument("--mode", choices=("train", "flat", "dark"), default="train")
     p.add_argument("--count", type=int, required=True, help="patches (train) or frames per level")
     p.add_argument("--camera", action="append", help="camera model JSON (train mode; repeatable)")

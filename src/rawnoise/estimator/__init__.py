@@ -13,11 +13,12 @@ from .train import (
     estimate,
     evaluate_triplets,
     heldout_weighted_mse,
+    make_triplet_batch,
     mean_r_baseline_mse,
     total_loss,
     train,
 )
-from .triplets import Triplet, TripletBatch, augment_triplet, make_triplet_batch
+from .triplets import Triplet, TripletBatch, augment_triplet
 
 __all__ = [
     "ConvStage",

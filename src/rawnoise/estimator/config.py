@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 
-# "square" exposes band-pass energy directly: mean pooling over squared
-# band-pass responses is a variance statistic, the quantity noise levels
-# live in.
-NONLINEARITIES = ("relu", "tanh", "square")
+NONLINEARITIES = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -109,6 +106,8 @@ class EstimatorConfig:
             raise ConfigurationError("patch dims must be even for the Haar front end")
         if self.input_scale <= 0:
             raise ConfigurationError(f"input_scale must be positive, got {self.input_scale}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def projection_dim(self) -> int:

@@ -42,6 +42,11 @@ def param_transform_r(params: NoiseParams, weights=DEFAULT_PARAM_WEIGHTS) -> np.
     )
 
 
+def param_targets(params, weights=DEFAULT_PARAM_WEIGHTS) -> np.ndarray:
+    """(N, 4) regression targets for a sequence of parameter tuples."""
+    return np.stack([param_transform_r(p, weights) for p in params])
+
+
 def inverse_param_transform(
     r: np.ndarray, weights=DEFAULT_PARAM_WEIGHTS, floor: float = PARAM_FLOOR
 ) -> NoiseParams:

@@ -125,8 +125,6 @@ def _pool_backward(dh, cache):
 def _nonlin_forward(z, kind):
     if kind == "relu":
         return np.maximum(z, 0.0), z
-    if kind == "square":
-        return z**2, z
     out = np.tanh(z)
     return out, out
 
@@ -134,8 +132,6 @@ def _nonlin_forward(z, kind):
 def _nonlin_backward(da, kind, cache):
     if kind == "relu":
         return da * (cache > 0.0)
-    if kind == "square":
-        return da * 2.0 * cache
     return da * (1.0 - cache**2)
 
 

@@ -24,9 +24,9 @@ from .losses import (
     batch_contrastive,
     batch_regression,
     inverse_param_transform,
-    param_transform_r,
+    param_targets,
 )
-from .network import DATA_STREAM, SHUFFLE_STREAM, EstimatorNetwork
+from .network import DATA_STREAM, SHUFFLE_STREAM, EstimatorNetwork, parameter_shapes
 from .triplets import TripletBatch, augment_triplet
 
 ADAM_BETA1 = 0.9
@@ -35,14 +35,8 @@ ADAM_EPS = 1e-8
 
 
 def _stacked(batch: TripletBatch) -> np.ndarray:
-    """(3B, 4, H, W) stack ordered [anchors, positives, negatives]."""
-    return np.concatenate(
-        [
-            np.asarray(batch.anchors, dtype=np.float64),
-            np.asarray(batch.positives, dtype=np.float64),
-            np.asarray(batch.negatives, dtype=np.float64),
-        ]
-    )
+    """(3B, 4, H, W) view ordered [anchors, positives, negatives]."""
+    return batch.patches.reshape(-1, *batch.patches.shape[2:])
 
 
 def _loss_and_grads(
@@ -67,9 +61,7 @@ def _loss_and_grads(
         grads = net.backward_batch(cache, dz=d_proj) if want_grads else None
         return parts, grads
 
-    targets = np.stack(
-        [param_transform_r(p, config.param_weights) for p in batch.anchor_params]
-    )
+    targets = param_targets(batch.anchor_params, config.param_weights)
     reg_loss, d_r = batch_regression(r[:n_anchors], targets, want_grads)
     total = reg_loss + config.tau_loss * c_loss
     parts = {"contrastive": c_loss, "regression": reg_loss, "total": total}
@@ -118,39 +110,22 @@ class Adam:
             params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _generate_dataset(config, scene_pool, camera_bank, rng) -> TripletBatch:
-    """Synthesize the fixed training set (float32 storage, one-time cost)."""
-    n = config.train_triplets
-    shape = (n, NUM_CHANNELS, config.patch_height, config.patch_width)
-    anchors = np.empty(shape, dtype=np.float32)
-    positives = np.empty(shape, dtype=np.float32)
-    negatives = np.empty(shape, dtype=np.float32)
+def make_triplet_batch(scene_pool, camera_bank, rng, size: int) -> TripletBatch:
+    """Draw ``size`` triplets into one float32 (3, size, 4, H, W) stack."""
+    if size < 1:
+        raise ConfigurationError(f"batch size must be >= 1, got {size}")
     anchor_params = []
-    negative_params = []
-    for i in range(n):
+    for i in range(size):
         t = augment_triplet(scene_pool, camera_bank, rng)
-        anchors[i] = t.anchor
-        positives[i] = t.positive
-        negatives[i] = t.negative
+        if i == 0:
+            patches = np.empty((3, size, *t.anchor.shape), dtype=np.float32)
+        patches[:, i] = (t.anchor, t.positive, t.negative)
         anchor_params.append(t.anchor_params)
-        negative_params.append(t.negative_params)
-    return TripletBatch(
-        anchors=anchors,
-        positives=positives,
-        negatives=negatives,
-        anchor_params=tuple(anchor_params),
-        negative_params=tuple(negative_params),
-    )
+    return TripletBatch(patches=patches, anchor_params=tuple(anchor_params))
 
 
 def _take(batch: TripletBatch, idx: np.ndarray) -> TripletBatch:
-    return TripletBatch(
-        anchors=batch.anchors[idx],
-        positives=batch.positives[idx],
-        negatives=batch.negatives[idx],
-        anchor_params=tuple(batch.anchor_params[i] for i in idx),
-        negative_params=tuple(batch.negative_params[i] for i in idx),
-    )
+    return TripletBatch(batch.patches[:, idx], tuple(batch.anchor_params[i] for i in idx))
 
 
 def train(
@@ -164,10 +139,6 @@ def train(
     parameters after each stage, e.g. to evaluate the representation
     before the head is attached; it does not influence the run.
     """
-    if not scene_pool:
-        raise ConfigurationError("scene pool is empty")
-    if not camera_bank:
-        raise ConfigurationError("camera bank is empty")
     expected = (NUM_CHANNELS, config.patch_height, config.patch_width)
     for scene in scene_pool:
         if tuple(np.shape(scene)) != expected:
@@ -176,8 +147,8 @@ def train(
             )
 
     net = EstimatorNetwork.initialize(config)
-    dataset = _generate_dataset(
-        config, scene_pool, camera_bank, derive_stream(config.seed, DATA_STREAM)
+    dataset = make_triplet_batch(
+        scene_pool, camera_bank, derive_stream(config.seed, DATA_STREAM), config.train_triplets
     )
     shuffle_rng = derive_stream(config.seed, SHUFFLE_STREAM)
 
@@ -220,23 +191,10 @@ def train(
 
 
 def _stage_trainable(config: EstimatorConfig, stage: int) -> list[str]:
-    extractor = [
-        f"extractor.{i}.{kind}"
-        for i in range(len(config.extractor))
-        for kind in ("weight", "bias")
-    ]
-    projector = [
-        f"projector.{i}.{kind}"
-        for i in range(len(config.projector))
-        for kind in ("weight", "bias")
-    ]
-    head = [f"head.{i}.{kind}" for i in range(len(config.head)) for kind in ("weight", "bias")]
-    if stage == 1:
-        return extractor + projector
-    trainable = extractor + head
-    if config.projector_trainable_stage2:
-        trainable += projector
-    return trainable
+    groups = {"extractor", "projector" if stage == 1 else "head"}
+    if stage == 2 and config.projector_trainable_stage2:
+        groups.add("projector")
+    return [name for name in parameter_shapes(config) if name.split(".")[0] in groups]
 
 
 def estimate(patch: np.ndarray, checkpoint: EstimatorCheckpoint) -> NoiseParams:
@@ -271,8 +229,8 @@ def heldout_weighted_mse(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -
     """Mean squared r-space error of anchor predictions on held-out data."""
     config = checkpoint.config
     net = EstimatorNetwork(config, checkpoint.params)
-    _, _, r_pred, _ = net.forward_batch(batch.anchors)
-    targets = np.stack([param_transform_r(p, config.param_weights) for p in batch.anchor_params])
+    _, _, r_pred, _ = net.forward_batch(batch.patches[0])
+    targets = param_targets(batch.anchor_params, config.param_weights)
     loss, _ = batch_regression(r_pred, targets, want_grad=False)
     return loss
 
@@ -281,7 +239,7 @@ def mean_r_baseline_mse(
     train_params, heldout_params, weights=(1.0, 1.0, 10.0, 10.0)
 ) -> float:
     """MSE of the constant predictor that always emits the training mean."""
-    train_r = np.stack([param_transform_r(p, weights) for p in train_params])
-    held_r = np.stack([param_transform_r(p, weights) for p in heldout_params])
+    train_r = param_targets(train_params, weights)
+    held_r = param_targets(heldout_params, weights)
     mean_r = train_r.mean(axis=0)
     return float(np.sum((held_r - mean_r) ** 2) / held_r.shape[0])

@@ -5,6 +5,10 @@ random camera corrupts two different clean scenes (anchor and positive,
 same parameters, independent noise and scenes), while a freshly drawn
 tuple corrupts a third scene (negative).  Scenes are drawn independently
 precisely so the representation cannot key on scene content.
+
+A batch stores its patches at rest as one float32 ``(3, B, 4, H, W)``
+stack in [anchor, positive, negative] order, like NRAW tensors on disk;
+the network upcasts to float64 when it reads them.
 """
 
 from __future__ import annotations
@@ -31,27 +35,17 @@ class Triplet:
 
 @dataclass(frozen=True)
 class TripletBatch:
-    """Stacked triplets: arrays shaped (B, 4, H, W) plus parameter lists."""
+    """``patches`` is the float32 (3, B, 4, H, W) stack; one tuple per anchor."""
 
-    anchors: np.ndarray
-    positives: np.ndarray
-    negatives: np.ndarray
+    patches: np.ndarray
     anchor_params: tuple
-    negative_params: tuple
 
     def __post_init__(self):
-        sizes = {
-            self.anchors.shape[0],
-            self.positives.shape[0],
-            self.negatives.shape[0],
-            len(self.anchor_params),
-            len(self.negative_params),
-        }
-        if len(sizes) != 1:
+        if self.patches.shape[:2] != (3, len(self.anchor_params)):
             raise DomainError("triplet batch stacks must share one size")
 
     def __len__(self) -> int:
-        return self.anchors.shape[0]
+        return len(self.anchor_params)
 
 
 def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator) -> Triplet:
@@ -83,20 +77,4 @@ def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator) -> Triple
         negative=negative,
         anchor_params=params,
         negative_params=neg_params,
-    )
-
-
-def make_triplet_batch(
-    scene_pool, camera_bank, rng: np.random.Generator, size: int
-) -> TripletBatch:
-    """Stack ``size`` independently augmented triplets."""
-    if size < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {size}")
-    triplets = [augment_triplet(scene_pool, camera_bank, rng) for _ in range(size)]
-    return TripletBatch(
-        anchors=np.stack([t.anchor for t in triplets]),
-        positives=np.stack([t.positive for t in triplets]),
-        negatives=np.stack([t.negative for t in triplets]),
-        anchor_params=tuple(t.anchor_params for t in triplets),
-        negative_params=tuple(t.negative_params for t in triplets),
     )

@@ -13,7 +13,6 @@ from rawnoise.estimator import (
     make_triplet_batch,
     train,
 )
-from rawnoise.estimator.train import _generate_dataset
 from rawnoise.streams import derive_stream
 
 TOY_SEED = 11
@@ -61,7 +60,9 @@ def toy_run():
     stage1_checkpoint = EstimatorCheckpoint(config=config, params=stage_snapshots[1])
 
     heldout = make_triplet_batch(scenes, bank, derive_stream(999, 0), 300)
-    train_dataset = _generate_dataset(config, scenes, bank, derive_stream(TOY_SEED, 1))
+    train_dataset = make_triplet_batch(
+        scenes, bank, derive_stream(TOY_SEED, 1), config.train_triplets
+    )
 
     return {
         "config": config,

@@ -138,6 +138,16 @@ class TestSampleParams:
         assert len(rows) == 9
         assert all(row.split(",")[1] == "2.0" for row in rows[1:])
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_rejected_before_writing(self, tmp_path, capsys, count):
+        camera = self._camera(tmp_path)
+        out = tmp_path / "params.csv"
+        assert run("sample-params", "--camera", camera, "--count", count, "--seed", 1,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith("DOMAIN: ")
+        assert not out.exists()
+        assert not (tmp_path / "params.csv.provenance.json").exists()
+
     def test_sample_then_calibrate_round_trip(self, tmp_path):
         camera = self._camera(tmp_path, k_min=0.25, k_max=8.0)
         out = tmp_path / "params.csv"
@@ -203,6 +213,55 @@ class TestGenDatasetAndOracle:
         assert abs(record["sigma_r"] - 0.8) <= 0.20 * 0.8
         assert abs(record["mu_c"] - 0.5) <= 0.05
         assert csv_out.read_text().splitlines()[1].startswith("synthcam,")
+
+
+class TestNegativeSeeds:
+    """A negative seed or stream index is refused before anything is written."""
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("synthesize_seed", "USAGE"),
+            ("synthesize_stream_index", "USAGE"),
+            ("sample_params_seed", "USAGE"),
+            ("gen_dataset_dark_seed", "USAGE"),
+            ("gen_dataset_train_seed", "USAGE"),
+            ("train_config_seed", "CONFIG"),
+        ],
+    )
+    def test_rejected_before_writing(self, tmp_path, capsys, clean_file, case, code):
+        camera = tmp_path / "camera.json"
+        camera.write_text(
+            '{"a": 0.7, "b": 0.1, "a_r": 0.5, "b_r": -0.2, "sigma_hat": 0.1,'
+            ' "sigma_r_hat": 0.1, "K_min": 0.25, "K_max": 8.0, "mu_c_model": 0.0}'
+        )
+        out = tmp_path / "out"
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({
+            "patch_height": 8, "patch_width": 8, "train_triplets": 8, "seed": -1,
+            "cameras": [str(camera)], "out_checkpoint": str(out),
+        }))
+        synthesize = ["synthesize", "--clean", clean_file, "--params", PARAMS_JSON, "--out", out]
+        gen_dataset = ["gen-dataset", "--out", out, "--count", 1, "--height", 8, "--width", 8]
+        argv = {
+            "synthesize_seed": [*synthesize, "--seed", -1],
+            "synthesize_stream_index": [*synthesize, "--seed", 1, "--stream-index", -1],
+            "sample_params_seed": ["sample-params", "--camera", camera, "--count", 2,
+                                   "--seed", -1, "--out", out],
+            "gen_dataset_dark_seed": [*gen_dataset, "--mode", "dark", "--params", PARAMS_JSON,
+                                      "--seed", -1],
+            "gen_dataset_train_seed": [*gen_dataset, "--mode", "train", "--camera", camera,
+                                       "--seed", -1],
+            "train_config_seed": ["train", "--config", config],
+        }[case]
+        try:
+            status = run(*argv)
+        except SystemExit as exc:
+            status = exc.code
+        assert status == 2
+        assert capsys.readouterr().err.startswith(f"{code}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["camera.json", "clean.nraw",
+                                                              "train.json"]
 
 
 class TestEstimateCheckpoint:

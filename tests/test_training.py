@@ -127,10 +127,7 @@ class TestTotalLossOps:
         """total_loss equals weighted MSE plus tau_loss times the mean
         per-anchor contrastive loss with in-batch negatives, to 1e-10."""
         config, checkpoint, batch, net = self._setup()
-        stacked = np.concatenate(
-            [batch.anchors, batch.positives, batch.negatives]
-        ).astype(np.float64)
-        _, z, r, _ = net.forward_batch(stacked)
+        _, z, r, _ = net.forward_batch(batch.patches.reshape(-1, 4, 8, 8).astype(np.float64))
         n = len(batch)
         mse = 0.0
         contrastive = 0.0
@@ -144,9 +141,7 @@ class TestTotalLossOps:
 
     def test_zero_mix_weight_reduces_to_regression(self):
         config0, checkpoint0, batch, net = self._setup(tau_loss=0.0)
-        _, _, r, _ = net.forward_batch(
-            np.concatenate([batch.anchors, batch.positives, batch.negatives]).astype(np.float64)
-        )
+        _, _, r, _ = net.forward_batch(batch.patches.reshape(-1, 4, 8, 8).astype(np.float64))
         n = len(batch)
         mse = sum(
             float(np.sum((r[i] - param_transform_r(batch.anchor_params[i])) ** 2))

@@ -100,8 +100,10 @@ class EstimatorConfig:
             raise ConfigurationError(f"batch size must be >= 2, got {self.batch_size}")
         if self.learning_rate <= 0 or self.decay_epochs < 1 or self.decay_factor <= 0:
             raise ConfigurationError("invalid learning-rate schedule")
-        if self.epochs_per_stage < 0 or self.train_triplets < 1:
+        if self.epochs_per_stage < 0:
             raise ConfigurationError("invalid training run length")
+        if self.train_triplets < 2:  # a batch needs two triplets for in-batch contrast
+            raise ConfigurationError(f"train_triplets must be >= 2, got {self.train_triplets}")
         if self.patch_height % 2 or self.patch_width % 2:
             raise ConfigurationError("patch dims must be even for the Haar front end")
         if self.input_scale <= 0:

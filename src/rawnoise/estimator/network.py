@@ -15,6 +15,17 @@ differences.  Training is bit-reproducible on the same machine with the
 same numpy and BLAS build; a BLAS that picks its kernels per CPU (such as
 OpenBLAS built with DYNAMIC_ARCH) may round differently elsewhere.
 
+Convolutions are lowered to GEMM by im2col.  The input is copied once into
+a zero-bordered buffer, and one copy from a sliding-window view of it
+builds the column matrix, laid out ``(N, c*k*k, oh*ow)`` with rows ordered
+(channel, kernel row, kernel column); the forward pass is one GEMM per
+sample with the bias added in place.  In the backward pass, the weight
+gradient is one GEMM per sample, summed in sample order, and col2im adds
+the k*k column planes into each input pixel in (row, column) order,
+starting from zero.  The first convolution's input gradient reaches no
+parameter, so it is never computed.  The Haar front end upcasts float32
+patches to float64 inside its first add.
+
 Parameters live in a flat ``{name: float64 array}`` dict with names like
 ``extractor.0.weight`` / ``projector.1.bias``; convolutions store weights
 as ``(out, in, k, k)`` and linear layers as ``(out, in)``.  Initialization
@@ -26,6 +37,7 @@ start at zero.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 from ..noise_core import NUM_CHANNELS
@@ -69,32 +81,47 @@ def _conv_forward(x, weight, bias, stride):
     pad = k // 2
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    cols = cols.reshape(n, c * k * k, oh * ow)
-    y = np.matmul(weight.reshape(out_ch, -1), cols) + bias[None, :, None]
-    return y.reshape(n, out_ch, oh, ow), (x.shape, xp.shape, cols, oh, ow)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    # (n, c, oh, ow, k, k) windows; reshaping the transposed view is the one copy.
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
+    y = np.matmul(weight.reshape(out_ch, -1), cols)
+    y += bias[:, None]
+    return y.reshape(n, out_ch, oh, ow), (x.shape, cols, oh, ow)
 
 
-def _conv_backward(dy, weight, stride, cache):
-    x_shape, xp_shape, cols, oh, ow = cache
+def _weight_grad(dy2, cols):
+    """``sum_s dy2[s] @ cols[s].T``: one GEMM per sample, summed in sample order."""
+    cols_t = cols.transpose(0, 2, 1)
+    total = np.matmul(dy2[0], cols_t[0])
+    term = np.empty_like(total)
+    for s in range(1, dy2.shape[0]):
+        np.matmul(dy2[s], cols_t[s], out=term)
+        total += term
+    return total
+
+
+def _conv_backward(dy, weight, stride, cache, want_dx=True):
+    """Gradients ``(dx, d_weight, d_bias)``; ``dx`` is None unless ``want_dx``."""
+    x_shape, cols, oh, ow = cache
     n, c, h, w = x_shape
     out_ch, _, k, _ = weight.shape
     pad = k // 2
     dy2 = dy.reshape(n, out_ch, oh * ow)
-    d_weight = np.matmul(dy2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    d_weight = _weight_grad(dy2, cols).reshape(weight.shape)
     d_bias = dy2.sum(axis=(0, 2))
+    if not want_dx:
+        return None, d_weight, d_bias
     dcols = np.matmul(weight.reshape(out_ch, -1).T, dy2).reshape(n, c, k, k, oh, ow)
-    dxp = np.zeros(xp_shape, dtype=np.float64)
+    # col2im with (n, c) innermost, so each of the k*k adds runs over long
+    # contiguous rows; every pixel still sums its terms in (i, j) order from 0.
+    terms = np.ascontiguousarray(dcols.transpose(2, 3, 4, 5, 0, 1))
+    dxp = np.zeros((h + 2 * pad, w + 2 * pad, n, c))
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[
-                :, :, i, j
-            ]
-    dx = dxp[:, :, pad : pad + h, pad : pad + w]
+            dxp[i : i + stride * oh : stride, j : j + stride * ow : stride] += terms[i, j]
+    dx = np.ascontiguousarray(dxp[pad : pad + h, pad : pad + w].transpose(2, 3, 0, 1))
     return dx, d_weight, d_bias
 
 
@@ -157,7 +184,7 @@ class EstimatorNetwork:
         return cls(config, params)
 
     def _check_input(self, patches: np.ndarray) -> np.ndarray:
-        patches = np.asarray(patches, dtype=np.float64)
+        patches = np.asarray(patches)
         expected = (NUM_CHANNELS, self.config.patch_height, self.config.patch_width)
         if patches.ndim != 4 or patches.shape[1:] != expected:
             raise ShapeError(
@@ -236,8 +263,9 @@ class EstimatorNetwork:
             stage = self.config.extractor[i]
             conv_cache, nl_cache = conv_caches[i]
             dy = _nonlin_backward(dx, stage.nonlinearity, nl_cache)
+            # The input gradient of the first convolution reaches no parameter.
             dx, d_weight, d_bias = _conv_backward(
-                dy, self.params[f"extractor.{i}.weight"], stage.stride, conv_cache
+                dy, self.params[f"extractor.{i}.weight"], stage.stride, conv_cache, i > 0
             )
             grads[f"extractor.{i}.weight"] += d_weight
             grads[f"extractor.{i}.bias"] += d_bias

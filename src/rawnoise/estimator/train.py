@@ -103,11 +103,14 @@ class Adam:
         bias2 = 1.0 - ADAM_BETA2**self.t
         for name in self.trainable:
             g = grads[name]
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g**2
-            m_hat = self.m[name] / bias1
-            v_hat = self.v[name] / bias2
-            params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            m, v = self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_triplet_batch(scene_pool, camera_bank, rng, size: int) -> TripletBatch:

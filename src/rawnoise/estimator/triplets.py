@@ -8,7 +8,7 @@ precisely so the representation cannot key on scene content.
 
 A batch stores its patches at rest as one float32 ``(3, B, 4, H, W)``
 stack in [anchor, positive, negative] order, like NRAW tensors on disk;
-the network upcasts to float64 when it reads them.
+the network's Haar front end upcasts to float64 as it transforms them.
 """
 
 from __future__ import annotations

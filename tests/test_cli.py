@@ -379,3 +379,15 @@ class TestTrainCommand:
         config_path.write_text(json.dumps({"cameras": ["x.json"], "out_checkpoint": "m", "bogus": 1}))
         assert run("train", "--config", config_path) == 2
         assert capsys.readouterr().err.startswith("CONFIG:")
+
+    def test_single_triplet_rejected_before_writing(self, tmp_path, capsys):
+        """One triplet makes every batch contrast-free; that is a CONFIG error, not a no-op run."""
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "patch_height": 8, "patch_width": 8, "train_triplets": 1,
+            "cameras": ["x.json"], "out_checkpoint": str(tmp_path / "model.nest"),
+        }))
+        assert run("train", "--config", config_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG:") and "train_triplets" in err
+        assert not (tmp_path / "model.nest").exists()

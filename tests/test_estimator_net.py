@@ -56,6 +56,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             Config.from_dict({"seed": 1, "bogus_knob": 2})
 
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_fewer_than_two_train_triplets_rejected(self, count):
+        with pytest.raises(ConfigurationError):
+            Config(train_triplets=count)
+
     def test_square_nonlinearity_rejected(self):
         with pytest.raises(ConfigurationError):
             ConvStage(3, 2, 16, nonlinearity="square")

@@ -42,6 +42,19 @@ class TestForward:
         expected = np.stack([haar_dwt2(patch) for patch in stack])
         assert np.array_equal(haar_dwt2(stack), expected)
 
+    def test_float32_stack_matches_float64_upcast(self):
+        """The upcast inside the transform rounds exactly like upcasting first."""
+        stack = np.random.default_rng(47).uniform(0, 1023, size=(6, 4, 12, 8)).astype(np.float32)
+        out = haar_dwt2(stack)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, haar_dwt2(stack.astype(np.float64)))
+
+    def test_integer_input_gives_float64(self):
+        patch = np.arange(4 * 6 * 4, dtype=np.int64).reshape(4, 6, 4)
+        out = haar_dwt2(patch)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, haar_dwt2(patch.astype(np.float64)))
+
     def test_batch_channel_count_checked(self):
         with pytest.raises(ShapeError):
             haar_dwt2(np.zeros((2, 3, 8, 8)))

@@ -29,6 +29,7 @@ from .errors import (
     MissingCalibrationError,
 )
 from .noise_core import NoiseParams
+from .records import Record
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +38,7 @@ SIGMA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class CameraModel:
+class CameraModel(Record, error=DomainError, ignore_unknown=True):
     """Fitted log-linear noise-level functions of one camera.
 
     Attributes:
@@ -68,40 +69,6 @@ class CameraModel:
             raise DomainError("residual spreads must be non-negative")
         if self.alpha is not None and not self.alpha > 0:
             raise DomainError(f"alpha must be positive when present, got {self.alpha}")
-
-    def as_dict(self) -> dict:
-        record = {
-            "a": self.a,
-            "b": self.b,
-            "a_r": self.a_r,
-            "b_r": self.b_r,
-            "sigma_hat": self.sigma_hat,
-            "sigma_r_hat": self.sigma_r_hat,
-            "K_min": self.K_min,
-            "K_max": self.K_max,
-            "mu_c_model": self.mu_c_model,
-        }
-        if self.alpha is not None:
-            record["alpha"] = self.alpha
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "CameraModel":
-        try:
-            return cls(
-                a=float(record["a"]),
-                b=float(record["b"]),
-                a_r=float(record["a_r"]),
-                b_r=float(record["b_r"]),
-                sigma_hat=float(record["sigma_hat"]),
-                sigma_r_hat=float(record["sigma_r_hat"]),
-                K_min=float(record["K_min"]),
-                K_max=float(record["K_max"]),
-                mu_c_model=float(record["mu_c_model"]),
-                alpha=float(record["alpha"]) if record.get("alpha") is not None else None,
-            )
-        except KeyError as exc:
-            raise DomainError(f"camera model record missing field {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from .estimator import (
 )
 from .io import Manifest, atomic_write_text, read_tensor, write_tensor
 from .noise_core import NoiseParams, as_patch, synthesize_noise
+from .records import Record
 from .streams import derive_stream
 
 PARAM_CSV_HEADER = ["image_id", "K", "sigma", "mu_c", "sigma_r"]
@@ -43,32 +46,28 @@ PARAM_CSV_HEADER = ["image_id", "K", "sigma", "mu_c", "sigma_r"]
 # running patch index; see streams.derive_stream).
 SCENE_STREAM = 4
 
-TRAIN_EXTRA_KEYS = ("cameras", "scene_pool_size", "white_level", "out_checkpoint", "out_log")
-
 
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal form; keeps CSV output byte-stable."""
     return repr(float(value))
 
 
+def _load_json(source: str | Path, error: type[RawNoiseError], what: str):
+    """Parse inline JSON text, or the UTF-8 file when ``source`` is a Path."""
+    try:
+        return json.loads(source.read_text("utf-8") if isinstance(source, Path) else source)
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _load_params_arg(value: str) -> NoiseParams:
     """Accept either a JSON file path or an inline JSON object."""
-    text = value.strip()
-    if not text.startswith("{"):
-        text = Path(value).read_text("utf-8")
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"noise parameters are not valid JSON: {exc}") from exc
-    return NoiseParams.from_dict(record)
+    source = value if value.strip().startswith("{") else Path(value)
+    return NoiseParams.from_dict(_load_json(source, DomainError, "noise parameters"))
 
 
 def _load_camera(path) -> CameraModel:
-    try:
-        record = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"camera model file is not valid JSON: {exc}") from exc
-    return CameraModel.from_dict(record)
+    return CameraModel.from_dict(_load_json(Path(path), DomainError, "camera model file"))
 
 
 def _save_json(path, record: dict) -> None:
@@ -166,9 +165,7 @@ def _cmd_calibrate(args) -> int:
     params, iso_pairs = _read_estimates_csv(args.estimates)
     model = calibration.fit_log_linear(params)
     if iso_pairs:
-        model = CameraModel.from_dict(
-            {**model.as_dict(), "alpha": calibration.fit_iso_gain(iso_pairs)}
-        )
+        model = replace(model, alpha=calibration.fit_iso_gain(iso_pairs))
     _save_json(args.out, model.as_dict())
     print(
         f"fit over {len(params)} estimates: "
@@ -321,8 +318,8 @@ def _cmd_gen_dataset(args) -> int:
             raise ConfigurationError(f"--levels must be comma-separated numbers: {exc}") from exc
         if not levels:
             raise ConfigurationError("flat mode needs --levels, e.g. --levels 2,8,32,128")
-        if any(level < 0 for level in levels):
-            raise DomainError("flat levels must be non-negative")
+        if not all(0 <= level < math.inf for level in levels):
+            raise DomainError("flat levels must be finite and non-negative")
         _save_json(
             out / "dataset.json", {**provenance, "params": params.as_dict(), "levels": levels}
         )
@@ -377,35 +374,40 @@ def _cmd_eval_kl(args) -> int:
 # train
 
 
+@dataclass(frozen=True)
+class TrainData(Record, error=ConfigurationError, ignore_unknown=True):
+    """The training config's data and output keys; all other keys are EstimatorConfig fields."""
+
+    cameras: tuple[str, ...]
+    out_checkpoint: str
+    scene_pool_size: int = 64
+    white_level: float = synthetic.DEFAULT_WHITE_LEVEL
+    out_log: str | None = None
+
+    def __post_init__(self):
+        if not self.cameras:
+            raise ConfigurationError("training config needs a non-empty 'cameras' list")
+        if not 0 < self.white_level < math.inf:
+            raise ConfigurationError(f"white_level must be finite and > 0, got {self.white_level}")
+
+
 def _cmd_train(args) -> int:
-    try:
-        record = json.loads(Path(args.config).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"training config is not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ConfigurationError("training config must be a JSON object")
+    record = _load_json(Path(args.config), ConfigurationError, "training config")
+    data = TrainData.from_dict(record)
+    config = EstimatorConfig.from_dict(
+        {k: v for k, v in record.items() if k not in TrainData.__dataclass_fields__}
+    )
 
-    extras = {key: record.pop(key) for key in TRAIN_EXTRA_KEYS if key in record}
-    if "cameras" not in extras or not extras["cameras"]:
-        raise ConfigurationError("training config needs a non-empty 'cameras' list")
-    if "out_checkpoint" not in extras:
-        raise ConfigurationError("training config needs 'out_checkpoint'")
-    config = EstimatorConfig.from_dict(record)
-
-    bank = [_load_camera(path) for path in extras["cameras"]]
+    bank = [_load_camera(path) for path in data.cameras]
     scene_rng = derive_stream(config.seed, SCENE_STREAM)
     scene_pool = synthetic.make_scene_pool(
-        scene_rng,
-        int(extras.get("scene_pool_size", 64)),
-        config.patch_height,
-        config.patch_width,
-        float(extras.get("white_level", synthetic.DEFAULT_WHITE_LEVEL)),
+        scene_rng, data.scene_pool_size, config.patch_height, config.patch_width, data.white_level
     )
 
     checkpoint = train_estimator(config, scene_pool, bank)
-    checkpoint.save(extras["out_checkpoint"])
+    checkpoint.save(data.out_checkpoint)
 
-    log_path = Path(extras.get("out_log", str(extras["out_checkpoint"]) + ".losses.csv"))
+    log_path = Path(data.out_log or data.out_checkpoint + ".losses.csv")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["stage", "epoch", "contrastive", "regression", "total"])
@@ -421,7 +423,7 @@ def _cmd_train(args) -> int:
         )
     atomic_write_text(log_path, buffer.getvalue())
     print(
-        f"checkpoint written to {extras['out_checkpoint']} "
+        f"checkpoint written to {data.out_checkpoint} "
         f"(final total loss {checkpoint.metadata['final_losses']['total']:.6g})"
     )
     return 0
@@ -448,6 +450,17 @@ def _stream_int(text: str) -> int:
     return value
 
 
+def _white_level(text: str) -> float:
+    """argparse type of every --white-level: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rawnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream-index", type=_stream_int, default=0, help="per-patch stream index")
     p.add_argument("--out", required=True, help="noisy NRAW output")
     p.add_argument("--clamp", action="store_true", help="clamp output to [0, white level]")
-    p.add_argument("--white-level", type=float, default=synthetic.DEFAULT_WHITE_LEVEL)
+    p.add_argument("--white-level", type=_white_level, default=synthetic.DEFAULT_WHITE_LEVEL)
     p.add_argument("--camera-id", default="unknown")
     p.set_defaults(func=_cmd_synthesize)
 
@@ -497,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated clean levels (flat mode)")
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
-    p.add_argument("--white-level", type=float, default=synthetic.DEFAULT_WHITE_LEVEL)
+    p.add_argument("--white-level", type=_white_level, default=synthetic.DEFAULT_WHITE_LEVEL)
     p.add_argument("--camera-id", default="synthetic")
     p.set_defaults(func=_cmd_gen_dataset)
 

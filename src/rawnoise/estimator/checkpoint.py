@@ -87,6 +87,8 @@ class EstimatorCheckpoint:
             raise BadCheckpointError("truncated checkpoint header")
         try:
             blob = json.loads(bytes(view[offset : offset + blob_len]).decode("utf-8"))
+            if not isinstance(blob, dict):
+                raise ValueError("the header is not a JSON object")
             config = EstimatorConfig.from_dict(blob["config"])
             metadata = blob.get("metadata", {})
         except (ValueError, KeyError) as exc:

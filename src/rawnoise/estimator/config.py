@@ -9,16 +9,16 @@ here so runs are reproducible from the config document alone.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..records import Record
 
 NONLINEARITIES = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
-class ConvStage:
+class ConvStage(Record, error=ConfigurationError):
     """One extractor stage: convolution (kernel, stride) + nonlinearity."""
 
     kernel: int
@@ -36,7 +36,7 @@ class ConvStage:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
+class EstimatorConfig(Record, error=ConfigurationError):
     """Hyperparameters of the estimator network and its two-stage training.
 
     ``feature_dim`` is the pooled feature size |h| and must equal twice the
@@ -104,8 +104,8 @@ class EstimatorConfig:
             raise ConfigurationError("invalid training run length")
         if self.train_triplets < 2:  # a batch needs two triplets for in-batch contrast
             raise ConfigurationError(f"train_triplets must be >= 2, got {self.train_triplets}")
-        if self.patch_height % 2 or self.patch_width % 2:
-            raise ConfigurationError("patch dims must be even for the Haar front end")
+        if any(dim < 2 or dim % 2 for dim in (self.patch_height, self.patch_width)):
+            raise ConfigurationError("patch dims must be even and >= 2 for the Haar front end")
         if self.input_scale <= 0:
             raise ConfigurationError(f"input_scale must be positive, got {self.input_scale}")
         if self.seed < 0:
@@ -114,54 +114,3 @@ class EstimatorConfig:
     @property
     def projection_dim(self) -> int:
         return self.projector[-1]
-
-    def as_dict(self) -> dict:
-        return {
-            "extractor": [
-                {
-                    "kernel": s.kernel,
-                    "stride": s.stride,
-                    "width": s.width,
-                    "nonlinearity": s.nonlinearity,
-                }
-                for s in self.extractor
-            ],
-            "feature_dim": self.feature_dim,
-            "projector": list(self.projector),
-            "head": list(self.head),
-            "tau": self.tau,
-            "tau_loss": self.tau_loss,
-            "param_weights": list(self.param_weights),
-            "learning_rate": self.learning_rate,
-            "decay_epochs": self.decay_epochs,
-            "decay_factor": self.decay_factor,
-            "batch_size": self.batch_size,
-            "epochs_per_stage": self.epochs_per_stage,
-            "patch_height": self.patch_height,
-            "patch_width": self.patch_width,
-            "input_scale": self.input_scale,
-            "train_triplets": self.train_triplets,
-            "projector_trainable_stage2": self.projector_trainable_stage2,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "EstimatorConfig":
-        record = dict(record)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(record) - known
-        if unknown:
-            raise ConfigurationError(f"unknown estimator config fields: {sorted(unknown)}")
-        if "extractor" in record:
-            record["extractor"] = tuple(
-                stage if isinstance(stage, ConvStage) else ConvStage(**stage)
-                for stage in record["extractor"]
-            )
-        return cls(**record)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EstimatorConfig":
-        return cls.from_dict(json.loads(text))

@@ -16,15 +16,14 @@ from pathlib import Path
 
 from ..errors import BadManifestError
 from ..noise_core import NoiseParams
+from ..records import Record
 from .atomic import atomic_write_text
 
 MANIFEST_VERSION = 1
 
-_KNOWN_FIELDS = {"version", "camera_id", "iso", "params", "seed", "stream_index", "extensions"}
-
 
 @dataclass(frozen=True)
-class Manifest:
+class Manifest(Record, error=BadManifestError):
     camera_id: str
     iso: float | None = None
     params: NoiseParams | None = None
@@ -33,21 +32,10 @@ class Manifest:
     extensions: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        record: dict = {"version": MANIFEST_VERSION, "camera_id": self.camera_id}
-        if self.iso is not None:
-            record["iso"] = self.iso
-        if self.params is not None:
-            record["params"] = self.params.as_dict()
-        if self.seed is not None:
-            record["seed"] = self.seed
-        if self.stream_index is not None:
-            record["stream_index"] = self.stream_index
-        if self.extensions:
-            record["extensions"] = self.extensions
-        return record
+        return {"version": MANIFEST_VERSION, **super().as_dict()}
 
     @classmethod
-    def from_dict(cls, record: dict) -> "Manifest":
+    def from_dict(cls, record) -> "Manifest":
         if not isinstance(record, dict):
             raise BadManifestError("manifest must be a JSON object")
         version = record.get("version")
@@ -55,26 +43,7 @@ class Manifest:
             raise BadManifestError(
                 f"unsupported manifest version {version!r} (expected {MANIFEST_VERSION})"
             )
-        unknown = set(record) - _KNOWN_FIELDS
-        if unknown:
-            raise BadManifestError(
-                f"unknown manifest fields {sorted(unknown)}; new fields belong "
-                f"under 'extensions'"
-            )
-        if "camera_id" not in record or not isinstance(record["camera_id"], str):
-            raise BadManifestError("manifest requires a string 'camera_id'")
-        try:
-            params = NoiseParams.from_dict(record["params"]) if "params" in record else None
-        except Exception as exc:
-            raise BadManifestError(f"invalid manifest params: {exc}") from exc
-        return cls(
-            camera_id=record["camera_id"],
-            iso=float(record["iso"]) if "iso" in record else None,
-            params=params,
-            seed=int(record["seed"]) if "seed" in record else None,
-            stream_index=int(record["stream_index"]) if "stream_index" in record else None,
-            extensions=record.get("extensions", {}),
-        )
+        return super().from_dict({k: v for k, v in record.items() if k != "version"})
 
     def save(self, path) -> None:
         atomic_write_text(Path(path), json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n")
@@ -83,6 +52,6 @@ class Manifest:
     def load(cls, path) -> "Manifest":
         try:
             record = json.loads(Path(path).read_text("utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise BadManifestError(f"manifest is not valid JSON: {exc}") from exc
         return cls.from_dict(record)

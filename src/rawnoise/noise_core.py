@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .records import Record
 
 CHANNEL_NAMES = ("R", "Gr", "Gb", "B")
 NUM_CHANNELS = 4
 
 
 @dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(Record, error=DomainError, ignore_unknown=True):
     """The four-tuple governing one image's noise distribution.
 
     Attributes:
@@ -53,21 +54,6 @@ class NoiseParams:
             raise DomainError(f"sigma_r must be non-negative, got {self.sigma_r}")
         if not math.isfinite(self.mu_c):
             raise DomainError(f"mu_c must be finite, got {self.mu_c}")
-
-    def as_dict(self) -> dict:
-        return {"K": self.K, "sigma": self.sigma, "mu_c": self.mu_c, "sigma_r": self.sigma_r}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "NoiseParams":
-        try:
-            return cls(
-                K=float(record["K"]),
-                sigma=float(record["sigma"]),
-                mu_c=float(record["mu_c"]),
-                sigma_r=float(record["sigma_r"]),
-            )
-        except KeyError as exc:
-            raise DomainError(f"noise parameter record missing field {exc}") from exc
 
 
 @dataclass(frozen=True)

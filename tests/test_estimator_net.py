@@ -1,5 +1,6 @@
 """Network forward contracts, triplet construction, checkpoint format."""
 
+import json
 import struct
 
 import numpy as np
@@ -50,7 +51,7 @@ class TestConfig:
             Config(head=(64, 3))
 
     def test_json_round_trip(self):
-        assert Config.from_json(TINY.to_json()) == TINY
+        assert Config.from_dict(json.loads(json.dumps(TINY.as_dict()))) == TINY
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -78,27 +78,32 @@ def _params_row(image_id: str, params: NoiseParams) -> list[str]:
     return [image_id, _fmt(params.K), _fmt(params.sigma), _fmt(params.mu_c), _fmt(params.sigma_r)]
 
 
-def _params_csv_rows(rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(PARAM_CSV_HEADER)
+    writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _append_params_csv(path, image_id: str, params: NoiseParams) -> None:
-    """Append one estimate row, rewriting the file atomically."""
-    path = Path(path)
-    rows: list[list[str]] = []
-    if path.exists():
-        with path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != PARAM_CSV_HEADER:
-                raise DomainError(f"{path} does not carry the parameter CSV header")
-            rows = [row for row in reader if row]
-    rows.append(_params_row(image_id, params))
-    atomic_write_text(path, _params_csv_rows(rows))
+def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """The header and the non-blank (line number, row) pairs of a UTF-8 CSV file."""
+    try:
+        reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+        header = next(reader, None)
+        return header, [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"{path} is not a readable UTF-8 CSV file: {exc}") from exc
+
+
+def _appendable_rows(path: Path) -> list[list[str]]:
+    """The rows of an existing estimates CSV to append to; none if it does not exist."""
+    if not path.exists():
+        return []
+    header, rows = _read_csv(path)
+    if header != PARAM_CSV_HEADER:
+        raise DomainError(f"{path} does not carry the parameter CSV header")
+    return [row for _, row in rows]
 
 
 # ----------------------------------------------------------------------
@@ -133,29 +138,23 @@ def _read_estimates_csv(path) -> tuple[ParamSet, list[tuple[float, float]]]:
     path = Path(path)
     entries = []
     iso_pairs = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[: len(PARAM_CSV_HEADER)] != PARAM_CSV_HEADER:
-            raise DomainError(
-                f"{path} must start with header {','.join(PARAM_CSV_HEADER)}"
+    header, rows = _read_csv(path)
+    if header is None or header[: len(PARAM_CSV_HEADER)] != PARAM_CSV_HEADER:
+        raise DomainError(f"{path} must start with header {','.join(PARAM_CSV_HEADER)}")
+    has_iso = len(header) > len(PARAM_CSV_HEADER) and header[len(PARAM_CSV_HEADER)] == "iso"
+    for line_num, row in rows:
+        try:
+            if len(row) < len(PARAM_CSV_HEADER):
+                raise ValueError(f"expected {len(PARAM_CSV_HEADER)} fields, got {len(row)}")
+            image_id, k, sigma, mu_c, sigma_r = row[:5]
+            params = NoiseParams(
+                K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
             )
-        has_iso = len(header) > len(PARAM_CSV_HEADER) and header[len(PARAM_CSV_HEADER)] == "iso"
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) < len(PARAM_CSV_HEADER):
-                    raise ValueError(f"expected {len(PARAM_CSV_HEADER)} fields, got {len(row)}")
-                image_id, k, sigma, mu_c, sigma_r = row[:5]
-                params = NoiseParams(
-                    K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
-                )
-                if has_iso and len(row) > 5 and row[5] != "":
-                    iso_pairs.append((float(row[5]), float(k)))
-            except ValueError as exc:
-                raise DomainError(f"{path} row {reader.line_num}: {exc}") from exc
-            entries.append((image_id, params))
+            if has_iso and len(row) > 5 and row[5] != "":
+                iso_pairs.append((float(row[5]), float(k)))
+        except ValueError as exc:
+            raise DomainError(f"{path} row {line_num}: {exc}") from exc
+        entries.append((image_id, params))
     if len(entries) < 2:
         raise InsufficientDataError(f"{path} holds {len(entries)} estimate row(s); need >= 2")
     return ParamSet(entries), iso_pairs
@@ -181,6 +180,17 @@ def _cmd_calibrate(args) -> int:
 # estimate
 
 
+def _read_noisy_frames(directory) -> list[np.ndarray]:
+    """Every ``noisy_*.nraw`` tensor in ``directory``, in name order."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"frame directory {directory} does not exist")
+    frames = [read_tensor(p) for p in sorted(directory.glob("noisy_*.nraw"))]
+    if not frames:
+        raise InsufficientDataError(f"{directory} holds no noisy frames")
+    return frames
+
+
 def _read_flat_series(root) -> list[tuple[float, list[np.ndarray]]]:
     root = Path(root)
     if not root.is_dir():
@@ -190,32 +200,19 @@ def _read_flat_series(root) -> list[tuple[float, list[np.ndarray]]]:
         clean_path = level_dir / "clean.nraw"
         if not clean_path.exists():
             raise InsufficientDataError(f"{level_dir} has no clean.nraw level reference")
-        level = float(read_tensor(clean_path).mean())
-        frames = [read_tensor(p) for p in sorted(level_dir.glob("noisy_*.nraw"))]
-        if not frames:
-            raise InsufficientDataError(f"{level_dir} holds no noisy frames")
-        series.append((level, frames))
+        series.append((float(read_tensor(clean_path).mean()), _read_noisy_frames(level_dir)))
     if not series:
         raise InsufficientDataError(f"{root} holds no level directories")
     return series
 
 
-def _read_dark_frames(root) -> list[np.ndarray]:
-    root = Path(root)
-    if not root.is_dir():
-        raise FileNotFoundError(f"dark-frame directory {root} does not exist")
-    frames = [read_tensor(p) for p in sorted(root.glob("noisy_*.nraw"))]
-    if not frames:
-        raise InsufficientDataError(f"{root} holds no noisy frames")
-    return frames
-
-
 def _cmd_estimate(args) -> int:
+    rows = _appendable_rows(Path(args.append)) if args.append else []
     if args.oracle:
         if not args.flat_series or not args.dark:
             raise ConfigurationError("oracle mode needs --flat-series and --dark")
         params = oracle.estimate_params_oracle(
-            _read_flat_series(args.flat_series), _read_dark_frames(args.dark)
+            _read_flat_series(args.flat_series), _read_noisy_frames(args.dark)
         )
         source = "oracle"
     else:
@@ -227,7 +224,8 @@ def _cmd_estimate(args) -> int:
     record = {**params.as_dict(), "image_id": args.image_id, "source": source}
     _save_json(args.out, record)
     if args.append:
-        _append_params_csv(args.append, args.image_id, params)
+        rows.append(_params_row(args.image_id, params))
+        atomic_write_text(Path(args.append), _csv_text(PARAM_CSV_HEADER, rows))
     return 0
 
 
@@ -247,7 +245,7 @@ def _cmd_sample_params(args) -> int:
         else:
             params = calibration.sample_params(model, rng)
         rows.append(_params_row(f"sample_{i:05d}", params))
-    atomic_write_text(Path(args.out), _params_csv_rows(rows))
+    atomic_write_text(Path(args.out), _csv_text(PARAM_CSV_HEADER, rows))
     _save_json(
         str(args.out) + ".provenance.json",
         {
@@ -408,20 +406,12 @@ def _cmd_train(args) -> int:
     checkpoint.save(data.out_checkpoint)
 
     log_path = Path(data.out_log or data.out_checkpoint + ".losses.csv")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["stage", "epoch", "contrastive", "regression", "total"])
-    for row in checkpoint.metadata.get("loss_log", []):
-        writer.writerow(
-            [
-                row["stage"],
-                row["epoch"],
-                _fmt(row["contrastive"]),
-                _fmt(row["regression"]),
-                _fmt(row["total"]),
-            ]
-        )
-    atomic_write_text(log_path, buffer.getvalue())
+    parts = ("contrastive", "regression", "total")
+    rows = [
+        [row["stage"], row["epoch"], *(_fmt(row[part]) for part in parts)]
+        for row in checkpoint.metadata.get("loss_log", [])
+    ]
+    atomic_write_text(log_path, _csv_text(["stage", "epoch", *parts], rows))
     print(
         f"checkpoint written to {data.out_checkpoint} "
         f"(final total loss {checkpoint.metadata['final_losses']['total']:.6g})"

@@ -4,7 +4,9 @@ Layout, all integers little-endian unsigned 32-bit:
 
     magic "NEST" | format version | json length | json blob (UTF-8)
     then per tensor, in sorted name order:
-    name length | name (UTF-8) | rank | dims... | values (float64 LE, row-major)
+    name length | name (UTF-8) | tensor record (float64 LE payload)
+
+The tensor record is the one NRAW files use (``io.tensorfile``).
 
 The JSON blob holds the config echo under ``"config"`` and training
 metadata (epochs completed, stage, final losses) under ``"metadata"``.
@@ -19,7 +21,6 @@ scaling and is refused rather than loaded into wrong estimates.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -28,6 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import BadCheckpointError
+from ..io.atomic import atomic_write_bytes
+from ..io.tensorfile import pack_tensor, unpack_tensor
 from .config import EstimatorConfig
 from .network import parameter_shapes
 
@@ -60,33 +63,25 @@ class EstimatorCheckpoint:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        out = io.BytesIO()
-        out.write(MAGIC)
-        out.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
-        out.write(blob)
+        parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(blob)), blob]
         for name in sorted(self.params):
-            tensor = np.ascontiguousarray(self.params[name], dtype=np.float64)
             encoded = name.encode("utf-8")
-            out.write(struct.pack("<I", len(encoded)))
-            out.write(encoded)
-            out.write(struct.pack("<I", tensor.ndim))
-            out.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            out.write(tensor.astype("<f8").tobytes())
-        return out.getvalue()
+            tensor = pack_tensor(self.params[name], "<f8")
+            parts += [struct.pack("<I", len(encoded)), encoded, tensor]
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EstimatorCheckpoint":
-        view = memoryview(raw)
-        if len(view) < 12 or bytes(view[:4]) != MAGIC:
+        if len(raw) < 12 or raw[:4] != MAGIC:
             raise BadCheckpointError("not a NEST checkpoint (bad magic)")
-        version, blob_len = struct.unpack("<II", view[4:12])
+        version, blob_len = struct.unpack_from("<II", raw, 4)
         if version != FORMAT_VERSION:
             raise BadCheckpointError(f"unsupported checkpoint format version {version}")
         offset = 12
-        if offset + blob_len > len(view):
+        if offset + blob_len > len(raw):
             raise BadCheckpointError("truncated checkpoint header")
         try:
-            blob = json.loads(bytes(view[offset : offset + blob_len]).decode("utf-8"))
+            blob = json.loads(raw[offset : offset + blob_len].decode("utf-8"))
             if not isinstance(blob, dict):
                 raise ValueError("the header is not a JSON object")
             config = EstimatorConfig.from_dict(blob["config"])
@@ -96,34 +91,21 @@ class EstimatorCheckpoint:
         offset += blob_len
 
         params: dict[str, np.ndarray] = {}
-        while offset < len(view):
+        while offset < len(raw):
             try:
-                (name_len,) = struct.unpack("<I", view[offset : offset + 4])
-                offset += 4
-                name = bytes(view[offset : offset + name_len]).decode("utf-8")
-                offset += name_len
-                (rank,) = struct.unpack("<I", view[offset : offset + 4])
-                offset += 4
-                dims = struct.unpack(f"<{rank}I", view[offset : offset + 4 * rank])
-                offset += 4 * rank
+                (name_len,) = struct.unpack_from("<I", raw, offset)
+                name = raw[offset + 4 : offset + 4 + name_len].decode("utf-8")
             except (struct.error, UnicodeDecodeError) as exc:
                 raise BadCheckpointError(f"corrupt checkpoint tensor table: {exc}") from exc
             if name in params:
                 raise BadCheckpointError(f"duplicate checkpoint tensor {name}")
-            count = int(np.prod(dims)) if rank else 1
-            if offset + 8 * count > len(view):
-                raise BadCheckpointError(f"truncated tensor payload for {name}")
-            tensor = np.frombuffer(view[offset : offset + 8 * count], dtype="<f8")
-            offset += 8 * count
-            params[name] = tensor.reshape(dims).astype(np.float64)
+            params[name], offset = unpack_tensor(raw, offset + 4 + name_len, "<f8",
+                                                 BadCheckpointError)
         return cls(config=config, params=params, metadata=metadata)
 
     def save(self, path) -> None:
-        from ..io.atomic import atomic_write_bytes
-
         atomic_write_bytes(Path(path), self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "EstimatorCheckpoint":
-        path = Path(path)
-        return cls.from_bytes(path.read_bytes())
+        return cls.from_bytes(Path(path).read_bytes())

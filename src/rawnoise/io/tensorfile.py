@@ -1,23 +1,29 @@
-"""Binary tensor files ("NRAW").
+"""Binary tensor records and tensor files ("NRAW").
 
-Layout, all integers little-endian unsigned 32-bit:
+A tensor record, all integers little-endian unsigned 32-bit:
 
-    magic "NRAW" | format version | dtype code | rank | dims... | payload
+    rank | dims... | payload (row-major, in the caller's dtype)
 
-The only dtype code is 1 (32-bit float, little-endian); the payload is
-row-major.  Storage is 32-bit for economy while all computation stays in
-64-bit: readers upcast on load, and since every float32 is exactly
-representable as float64 the write/read/write round trip is bit-exact.
+An NRAW file is one record behind a fixed header, with nothing after it:
+
+    magic "NRAW" | format version | dtype code | record
+
+The only dtype code is 1 (32-bit float, little-endian).  Storage is 32-bit
+for economy while all computation stays in 64-bit: readers upcast on load,
+and since every float32 is exactly representable as float64 the
+write/read/write round trip is bit-exact.  NEST checkpoints store their
+tensors as named float64 records (``estimator.checkpoint``).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadTensorFileError
+from ..errors import BadTensorFileError, FileFormatError
 from .atomic import atomic_write_bytes
 
 MAGIC = b"NRAW"
@@ -25,33 +31,53 @@ FORMAT_VERSION = 1
 DTYPE_F32 = 1
 
 
+def pack_tensor(array: np.ndarray, dtype: str) -> bytes:
+    """Encode ``array`` as one tensor record with a ``dtype`` payload."""
+    array = np.ascontiguousarray(array, dtype=dtype)
+    return struct.pack(f"<{array.ndim + 1}I", array.ndim, *array.shape) + array.tobytes()
+
+
+def unpack_tensor(
+    raw: bytes, offset: int, dtype: str, error: type[FileFormatError]
+) -> tuple[np.ndarray, int]:
+    """Decode the record at ``raw[offset:]`` as float64; return it and the offset after it.
+
+    A truncated record, or dims the payload cannot be reshaped to, raise ``error``.
+    """
+    try:
+        (rank,) = struct.unpack_from("<I", raw, offset)
+        dims = struct.unpack_from(f"<{rank}I", raw, offset + 4)
+    except struct.error as exc:
+        raise error(f"truncated tensor record: {exc}") from exc
+    start = offset + 4 + 4 * rank
+    count = math.prod(dims)
+    end = start + np.dtype(dtype).itemsize * count
+    if end > len(raw):
+        raise error(f"truncated tensor payload: dims {dims} need {end - start} bytes, "
+                    f"{len(raw) - start} remain")
+    try:
+        tensor = np.frombuffer(raw, dtype=dtype, count=count, offset=start).reshape(dims)
+    except ValueError as exc:
+        raise error(f"tensor dims {dims} cannot be read: {exc}") from exc
+    return tensor.astype(np.float64), end
+
+
 def tensor_to_bytes(array: np.ndarray) -> bytes:
-    array = np.ascontiguousarray(array, dtype="<f4")
-    header = MAGIC + struct.pack("<III", FORMAT_VERSION, DTYPE_F32, array.ndim)
-    header += struct.pack(f"<{array.ndim}I", *array.shape)
-    return header + array.tobytes()
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, DTYPE_F32) + pack_tensor(array, "<f4")
 
 
 def tensor_from_bytes(raw: bytes) -> np.ndarray:
-    if len(raw) < 16 or raw[:4] != MAGIC:
+    if len(raw) < 12 or raw[:4] != MAGIC:
         raise BadTensorFileError("not an NRAW tensor file (bad magic)")
-    version, dtype_code, rank = struct.unpack("<III", raw[4:16])
+    version, dtype_code = struct.unpack_from("<II", raw, 4)
     if version != FORMAT_VERSION:
         raise BadTensorFileError(f"unsupported tensor format version {version}")
     if dtype_code != DTYPE_F32:
         raise BadTensorFileError(f"unsupported dtype code {dtype_code}")
-    offset = 16
-    if len(raw) < offset + 4 * rank:
-        raise BadTensorFileError("truncated tensor header")
-    dims = struct.unpack(f"<{rank}I", raw[offset : offset + 4 * rank])
-    offset += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
-    payload = raw[offset:]
-    if len(payload) != 4 * count:
-        raise BadTensorFileError(
-            f"payload length {len(payload)} does not match dims {dims} (need {4 * count})"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+    tensor, end = unpack_tensor(raw, 12, "<f4", BadTensorFileError)
+    if end != len(raw):
+        raise BadTensorFileError(f"{len(raw) - end} trailing bytes after the tensor payload")
+    return tensor
 
 
 def write_tensor(path, array: np.ndarray) -> None:

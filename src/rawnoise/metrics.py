@@ -75,8 +75,8 @@ def build_histogram(
     if value_range is None:
         value_range = default_range(values)
     lo, hi = float(value_range[0]), float(value_range[1])
-    if not lo < hi:
-        raise DomainError(f"histogram range must satisfy lo < hi, got ({lo}, {hi})")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"histogram range must be finite with lo < hi, got ({lo}, {hi})")
 
     counts, edges = np.histogram(np.clip(values, lo, hi), bins=bins, range=(lo, hi))
     return NoiseHistogram(edges=edges, masses=counts / values.size, count=int(values.size))

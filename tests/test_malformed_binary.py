@@ -1,0 +1,194 @@
+"""Malformed NRAW, NEST and estimates-CSV inputs give a coded exit 2.
+
+The probe table names each known malformed input and runs it through the
+CLI: exit 2, the expected code, and no output left behind.  The fuzz tests
+truncate a tiny NEST checkpoint and a small NRAW tensor at every length,
+XOR every byte with four masks, and splice tensor records; every load
+must succeed or raise the format's own error (``BAD_CHECKPOINT`` or
+``BAD_TENSOR_FILE``).
+"""
+
+import math
+import re
+import struct
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rawnoise.cli import main
+from rawnoise.errors import BadCheckpointError, BadTensorFileError
+from rawnoise.estimator import ConvStage, EstimatorCheckpoint, EstimatorConfig, EstimatorNetwork
+from rawnoise.io import tensor_from_bytes, tensor_to_bytes
+
+CODE = re.compile(r"^[A-Z_]+: ")
+
+TINY = EstimatorConfig(
+    patch_height=8, patch_width=8, extractor=(ConvStage(3, 2, 2),), feature_dim=4,
+    projector=(3,), head=(3, 4),
+)
+MASKS = (0x01, 0x10, 0x80, 0xFF)
+# Their product is 2**64, which wraps to 0 in int64 arithmetic.
+WRAPPED_DIMS = (65536, 65536, 65536, 65536)
+CSV_HEADER = b"image_id,K,sigma,mu_c,sigma_r\n"
+ESTIMATES = CSV_HEADER + b"a,0.5,1.0,0.0,0.5\nb,1.0,1.3,0.0,0.7\n"
+
+
+def _status(argv) -> int:
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:  # argparse refusals exit from inside main
+        return exc.code
+
+
+def _nest(config: EstimatorConfig = TINY) -> bytes:
+    return EstimatorCheckpoint(config, EstimatorNetwork.initialize(config).params).to_bytes()
+
+
+def _table(raw: bytes) -> tuple[bytes, list[bytes]]:
+    """Split a valid NEST file into its header and its tensor-table entries."""
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    offset = 12 + blob_len
+    header, entries = raw[:offset], []
+    while offset < len(raw):
+        (name_len,) = struct.unpack_from("<I", raw, offset)
+        (rank,) = struct.unpack_from("<I", raw, offset + 4 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", raw, offset + 8 + name_len)
+        end = offset + 8 + name_len + 4 * rank + 8 * math.prod(dims)
+        entries.append(raw[offset:end])
+        offset = end
+    return header, entries
+
+
+def _wrapped_entry(name: str) -> bytes:
+    """A NEST table entry with wrapped dims and an empty payload."""
+    encoded = name.encode()
+    return struct.pack(f"<I{len(encoded)}sI4I", len(encoded), encoded, 4, *WRAPPED_DIMS)
+
+
+NEST = _nest()
+NRAW = tensor_to_bytes(np.arange(24.0).reshape(2, 3, 4) / 4)
+WRAPPED_NRAW = b"NRAW" + struct.pack("<III4I", 1, 1, 4, *WRAPPED_DIMS)
+WRAPPED_NEST = NEST + _wrapped_entry("wrap")
+
+
+def _mutations(raw: bytes):
+    """Every truncation, then every byte XORed with each mask."""
+    for end in range(len(raw)):
+        yield f"truncate to {end}", raw[:end]
+    for at in range(len(raw)):
+        for mask in MASKS:
+            flipped = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :]
+            yield f"xor byte {at} with {mask:#04x}", flipped
+
+
+# ----------------------------------------------------------------------
+# probes
+
+
+def _estimate(base, nest: bytes = NEST) -> list:
+    (base / "model.nest").write_bytes(nest)
+    (base / "patch.nraw").write_bytes(tensor_to_bytes(np.full((4, 8, 8), 50.0)))
+    return ["estimate", "--input", base / "patch.nraw", "--checkpoint", base / "model.nest",
+            "--out", base / "out.json"]
+
+
+def _calibrate(base, csv: bytes) -> list:
+    (base / "est.csv").write_bytes(csv)
+    return ["calibrate", "--estimates", base / "est.csv", "--out", base / "out.json"]
+
+
+def _append(base, csv: bytes) -> list:
+    (base / "est.csv").write_bytes(csv)
+    return [*_estimate(base), "--append", base / "est.csv"]
+
+
+def _eval_kl(base, real: bytes, *flags) -> list:
+    (base / "real.nraw").write_bytes(real)
+    (base / "synth.nraw").write_bytes(NRAW)
+    return ["eval-kl", "--real", base / "real.nraw", "--synth", base / "synth.nraw", *flags]
+
+
+PROBES = {
+    "nraw_wrapped_dims": (lambda base: _eval_kl(base, WRAPPED_NRAW), "BAD_TENSOR_FILE"),
+    "nest_wrapped_dims": (lambda base: _estimate(base, WRAPPED_NEST), "BAD_CHECKPOINT"),
+    "calibrate_csv_not_utf8": (lambda base: _calibrate(base, ESTIMATES + b"c,\xff\n"), "DOMAIN"),
+    "calibrate_csv_oversized_field": (
+        lambda base: _calibrate(base, ESTIMATES + b"c," + b"1" * 200_000 + b"\n"), "DOMAIN"),
+    "append_csv_not_utf8": (lambda base: _append(base, ESTIMATES + b"c,\xff\n"), "DOMAIN"),
+    "append_csv_wrong_header": (
+        lambda base: _append(base, b"image_id,K\n" + ESTIMATES[len(CSV_HEADER):]), "DOMAIN"),
+    "eval_kl_range_infinite": (
+        lambda base: _eval_kl(base, NRAW, "--range", 0, "inf"), "DOMAIN"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBES))
+def test_malformed_input_is_coded_exit_2(tmp_path, capsys, case):
+    build, code = PROBES[case]
+    argv = build(tmp_path)
+    inputs = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert _status(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"{code}: ")
+    assert out == ""
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == inputs
+
+
+# ----------------------------------------------------------------------
+# fuzz
+
+LOADS = {
+    "nest": (NEST, EstimatorCheckpoint.from_bytes, BadCheckpointError),
+    "nraw": (NRAW, tensor_from_bytes, BadTensorFileError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADS))
+def test_every_mutation_loads_or_raises_its_format_error(kind):
+    raw, load, error = LOADS[kind]
+    escapes = []
+    for how, payload in _mutations(raw):
+        try:
+            load(payload)
+        except error:
+            pass
+        except Exception as exc:  # noqa: BLE001 - every escape is collected and reported
+            escapes.append((how, repr(exc)))
+    assert escapes == []
+
+
+def test_spliced_records_are_refused():
+    header, entries = _table(NEST)
+    assert header + b"".join(entries) == NEST
+    _, deeper = _table(_nest(replace(TINY, extractor=(ConvStage(3, 2, 3), ConvStage(3, 2, 2)))))
+    _, reseeded = _table(_nest(replace(TINY, seed=1)))
+    for entry in [*deeper, *reseeded]:
+        with pytest.raises(BadCheckpointError):
+            EstimatorCheckpoint.from_bytes(NEST + entry)
+    for entry in entries:
+        with pytest.raises(BadCheckpointError, match="duplicate"):
+            EstimatorCheckpoint.from_bytes(NEST.replace(entry, entry * 2, 1))
+    with pytest.raises(BadTensorFileError, match="trailing"):
+        tensor_from_bytes(NRAW + NRAW)
+
+
+CLI_SAMPLE = 7  # mutations of each file run through the CLI, evenly spaced
+
+
+@pytest.mark.parametrize("kind", sorted(LOADS))
+def test_sampled_mutations_never_internal(tmp_path, capsys, kind):
+    mutations = list(_mutations(LOADS[kind][0]))
+    for i, (how, payload) in enumerate(mutations[:: len(mutations) // CLI_SAMPLE]):
+        base = tmp_path / f"case{i}"
+        base.mkdir()
+        if kind == "nest":
+            argv, outputs = _estimate(base, nest=payload), [base / "out.json"]
+        else:
+            argv, outputs = _eval_kl(base, payload), []
+        status = _status(argv)
+        out, err = capsys.readouterr()
+        assert status in (0, 2), (how, status, err)
+        if status == 2:
+            assert CODE.match(err) and not err.startswith("INTERNAL"), (how, err)
+            assert out == "" and not any(path.exists() for path in outputs), how

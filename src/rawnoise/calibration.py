@@ -87,7 +87,7 @@ class ParamSet:
         return len(self.entries)
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line y = a*x + b plus the unbiased residual std.
 
     The residual std uses the n-2 denominator; with exactly two points the
@@ -137,8 +137,8 @@ def fit_log_linear(params: ParamSet) -> CameraModel:
             values[floored] = SIGMA_FLOOR
 
     log_k = np.log(gains)
-    a, b, sigma_hat = _ols_line(log_k, np.log(sigmas))
-    a_r, b_r, sigma_r_hat = _ols_line(log_k, np.log(sigma_rs))
+    a, b, sigma_hat = ols_line(log_k, np.log(sigmas))
+    a_r, b_r, sigma_r_hat = ols_line(log_k, np.log(sigma_rs))
 
     return CameraModel(
         a=a,

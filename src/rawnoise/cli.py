@@ -272,6 +272,15 @@ def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index) -> None
     )
 
 
+def _write_frames(out: Path, clean, params, args, first_index: int) -> None:
+    """Write ``clean.nraw`` and ``--count`` noisy frames of it on streams ``first_index + k``."""
+    write_tensor(out / "clean.nraw", clean)
+    for k in range(args.count):
+        index = first_index + k
+        rng = derive_stream(args.seed, index)
+        _write_noisy(out / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed, index)
+
+
 def _cmd_gen_dataset(args) -> int:
     for flag in ("count", "height", "width"):
         if getattr(args, flag) < 1:
@@ -321,27 +330,14 @@ def _cmd_gen_dataset(args) -> int:
         _save_json(
             out / "dataset.json", {**provenance, "params": params.as_dict(), "levels": levels}
         )
-        index = 0
         for j, level in enumerate(levels):
-            level_dir = out / f"level_{j:02d}"
             clean = np.full(shape, level)
-            write_tensor(level_dir / "clean.nraw", clean)
-            for k in range(args.count):
-                rng = derive_stream(args.seed, index)
-                _write_noisy(
-                    level_dir / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed,
-                    index,
-                )
-                index += 1
+            _write_frames(out / f"level_{j:02d}", clean, params, args, j * args.count)
         return 0
 
     # dark mode: zero illumination
     _save_json(out / "dataset.json", {**provenance, "params": params.as_dict()})
-    clean = np.zeros(shape)
-    write_tensor(out / "clean.nraw", clean)
-    for k in range(args.count):
-        rng = derive_stream(args.seed, k)
-        _write_noisy(out / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed, k)
+    _write_frames(out, np.zeros(shape), params, args, 0)
     return 0
 
 
@@ -528,6 +524,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"FILE_NOT_FOUND: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"IO_ERROR: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"INTERNAL: {exc}", file=sys.stderr)

@@ -86,6 +86,8 @@ class EstimatorCheckpoint:
                 raise ValueError("the header is not a JSON object")
             config = EstimatorConfig.from_dict(blob["config"])
             metadata = blob.get("metadata", {})
+            if not isinstance(metadata, dict):
+                raise ValueError("metadata is not a JSON object")
         except (ValueError, KeyError) as exc:
             raise BadCheckpointError(f"invalid checkpoint header JSON: {exc}") from exc
         offset += blob_len

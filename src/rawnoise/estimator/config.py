@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..records import Record
+from .losses import DEFAULT_PARAM_WEIGHTS
 
 NONLINEARITIES = ("relu", "tanh")
 
@@ -59,7 +60,7 @@ class EstimatorConfig(Record, error=ConfigurationError):
     head: tuple[int, ...] = (64, 4)
     tau: float = 0.1
     tau_loss: float = 0.1
-    param_weights: tuple[float, float, float, float] = (1.0, 1.0, 10.0, 10.0)
+    param_weights: tuple[float, float, float, float] = DEFAULT_PARAM_WEIGHTS
     learning_rate: float = 1e-4
     decay_epochs: int = 50
     decay_factor: float = 10.0

@@ -21,6 +21,7 @@ from ..streams import derive_stream
 from .checkpoint import EstimatorCheckpoint
 from .config import EstimatorConfig
 from .losses import (
+    DEFAULT_PARAM_WEIGHTS,
     batch_contrastive,
     batch_regression,
     inverse_param_transform,
@@ -238,9 +239,7 @@ def heldout_weighted_mse(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -
     return loss
 
 
-def mean_r_baseline_mse(
-    train_params, heldout_params, weights=(1.0, 1.0, 10.0, 10.0)
-) -> float:
+def mean_r_baseline_mse(train_params, heldout_params, weights=DEFAULT_PARAM_WEIGHTS) -> float:
     """MSE of the constant predictor that always emits the training mean."""
     train_r = param_targets(train_params, weights)
     held_r = param_targets(heldout_params, weights)

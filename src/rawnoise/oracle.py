@@ -8,6 +8,8 @@ signal-independent std come from photon-transfer regression of per-level
 variance against signal level.  No learning is involved, so the composed
 estimate doubles as the ground-truth oracle for the learned estimator.
 
+Each frame set (the dark frames, or the flats of one level) is one
+validated float64 ``(n, 4, H, W)`` stack, so all its frames share one shape.
 All reductions sort their inputs first, making every estimate bit-identical
 under any permutation of frames (or of frames within a level).
 """
@@ -19,8 +21,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
-from .noise_core import NoiseParams, as_patch
+from .calibration import ols_line
+from .errors import DomainError, InsufficientDataError, ShapeError
+from .noise_core import NUM_CHANNELS, NoiseParams
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +32,28 @@ logger = logging.getLogger(__name__)
 GAIN_FLOOR = 1e-12
 
 MIN_PACKED_WIDTH = 8  # 16 physical columns
+
+
+def _frame_stack(frames, what: str, at_least: int = 1) -> np.ndarray:
+    """One frame set, a list of packed frames or their stack, as a validated float64 stack.
+
+    A float64 ``(n, 4, H, W)`` array is returned as is.  Raises
+    InsufficientDataError below ``at_least`` frames, ShapeError for mixed
+    or unpacked shapes, and DomainError for non-finite values.
+    """
+    if not isinstance(frames, np.ndarray):
+        frames = [np.asarray(f, dtype=np.float64) for f in frames]
+        if len({f.shape for f in frames}) > 1:
+            raise ShapeError(f"{what} differ in shape: {sorted({f.shape for f in frames})}")
+        frames = np.stack(frames) if frames else np.empty(0)
+    if len(frames) < at_least:
+        raise InsufficientDataError(f"need at least {at_least} {what}, got {len(frames)}")
+    stack = np.asarray(frames, dtype=np.float64)
+    if stack.ndim != 4 or stack.shape[1] != NUM_CHANNELS or 0 in stack.shape[2:]:
+        raise ShapeError(f"{what} must stack to (n, 4, H, W), got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise DomainError(f"{what} contain non-finite values")
+    return stack
 
 
 def _stable_mean(values: np.ndarray) -> float:
@@ -43,18 +68,18 @@ def _stable_var(values: np.ndarray, ddof: int = 1) -> float:
     return float(dev.sum() / (flat.size - ddof))
 
 
-def _physical_row_means(patch: np.ndarray) -> np.ndarray:
-    """Means of the 2H physical bayer rows of a packed patch."""
-    upper = patch[0:2].mean(axis=(0, 2))  # bayer rows 2j: channels R, Gr
-    lower = patch[2:4].mean(axis=(0, 2))  # bayer rows 2j+1: channels Gb, B
-    return np.concatenate([upper, lower])
+def _physical_row_means(stack: np.ndarray) -> np.ndarray:
+    """Means of the 2H physical bayer rows of each frame, shaped ``(n, 2H)``."""
+    upper = stack[:, 0:2].mean(axis=(1, 3))  # bayer rows 2j: channels R, Gr
+    lower = stack[:, 2:4].mean(axis=(1, 3))  # bayer rows 2j+1: channels Gb, B
+    return np.concatenate([upper, lower], axis=1)
 
 
-def _physical_col_means(patch: np.ndarray) -> np.ndarray:
-    """Means of the 2W physical bayer columns of a packed patch."""
-    even = patch[0::2].mean(axis=(0, 1))  # bayer cols 2i: channels R, Gb
-    odd = patch[1::2].mean(axis=(0, 1))  # bayer cols 2i+1: channels Gr, B
-    return np.concatenate([even, odd])
+def _physical_col_means(stack: np.ndarray) -> np.ndarray:
+    """Means of the 2W physical bayer columns of each frame, shaped ``(n, 2W)``."""
+    even = stack[:, 0::2].mean(axis=(1, 2))  # bayer cols 2i: channels R, Gb
+    odd = stack[:, 1::2].mean(axis=(1, 2))  # bayer cols 2i+1: channels Gr, B
+    return np.concatenate([even, odd], axis=1)
 
 
 def estimate_gain_and_read(flat_series) -> tuple[float, float]:
@@ -62,29 +87,20 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
 
     Args:
         flat_series: iterable of ``(clean_level, frames)`` with at least two
-            distinct levels and two frames per level; frames are packed
-            patches synthesized/captured flat at that level.
+            distinct levels and two frames per level; ``frames`` is a list
+            or a stack of packed patches synthesized/captured flat at that level.
 
     Per-level pooled pixel variance is regressed against level: the slope
     is the gain K and the intercept is ``sigma^2 + sigma_r^2``.  A negative
     intercept is floored at zero with a warning.
     """
-    series = [(float(level), [as_patch(f) for f in frames]) for level, frames in flat_series]
+    series = [(float(lv), _frame_stack(fr, f"flats of level {lv}", 2)) for lv, fr in flat_series]
     levels = np.array([level for level, _ in series], dtype=np.float64)
     if np.unique(levels).size < 2:
         raise InsufficientDataError("photon transfer needs >= 2 distinct flat levels")
-    for level, frames in series:
-        if len(frames) < 2:
-            raise InsufficientDataError(f"level {level} has fewer than 2 frames")
 
-    variances = np.array(
-        [_stable_var(np.stack(frames)) for _, frames in series], dtype=np.float64
-    )
-
-    level_mean = levels.mean()
-    s_cc = float(np.sum((levels - level_mean) ** 2))
-    slope = float(np.sum((levels - level_mean) * (variances - variances.mean())) / s_cc)
-    intercept = float(variances.mean() - slope * level_mean)
+    variances = np.array([_stable_var(stack) for _, stack in series], dtype=np.float64)
+    slope, intercept, _ = ols_line(levels, variances)
     if intercept < 0:
         logger.warning("negative photon-transfer intercept %g floored at 0", intercept)
         intercept = 0.0
@@ -100,33 +116,20 @@ def estimate_row_sigma(dark_frames) -> float:
     ``sigma^2 / H`` (the shared row offsets cancel out of the within-frame
     spread).  The corrected value is floored at zero before the root.
     """
-    frames = [as_patch(f) for f in dark_frames]
-    if not frames:
-        raise InsufficientDataError("need at least one dark frame")
-    if frames[0].shape[2] < MIN_PACKED_WIDTH:
-        raise DomainError(
-            f"row-noise estimation needs packed width >= {MIN_PACKED_WIDTH}, "
-            f"got {frames[0].shape[2]}"
-        )
+    darks = _frame_stack(dark_frames, "dark frames")
+    _, _, height, width = darks.shape
+    if width < MIN_PACKED_WIDTH:
+        raise DomainError(f"row noise needs packed width >= {MIN_PACKED_WIDTH}, got {width}")
 
-    phys_rows = 2 * frames[0].shape[1]
-    phys_cols = 2 * frames[0].shape[2]
-    v_row = _stable_mean(
-        np.array([np.var(_physical_row_means(f), ddof=1) for f in frames])
-    )
-    v_col = _stable_mean(
-        np.array([np.var(_physical_col_means(f), ddof=1) for f in frames])
-    )
-    sigma_sq = phys_rows * v_col
-    return math.sqrt(max(0.0, v_row - sigma_sq / phys_cols))
+    v_row = _stable_mean(np.var(_physical_row_means(darks), axis=1, ddof=1))
+    v_col = _stable_mean(np.var(_physical_col_means(darks), axis=1, ddof=1))
+    sigma_sq = 2 * height * v_col
+    return math.sqrt(max(0.0, v_row - sigma_sq / (2 * width)))
 
 
 def estimate_color_bias(dark_frames) -> float:
     """Global mean of all dark-frame pixels."""
-    frames = [as_patch(f) for f in dark_frames]
-    if not frames:
-        raise InsufficientDataError("need at least one dark frame")
-    return _stable_mean(np.stack(frames))
+    return _stable_mean(_frame_stack(dark_frames, "dark frames"))
 
 
 def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
@@ -138,14 +141,12 @@ def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
     tuple always satisfies the parameter invariants (K floored at
     ``GAIN_FLOOR``, sigmas at zero).
     """
-    dark_frames = [as_patch(f) for f in dark_frames]
-    mu_c = estimate_color_bias(dark_frames)
+    darks = _frame_stack(dark_frames, "dark frames")
+    mu_c = estimate_color_bias(darks)
+    sigma_r = estimate_row_sigma(darks - mu_c)
 
-    darks_centered = [f - mu_c for f in dark_frames]
-    sigma_r = estimate_row_sigma(darks_centered)
-
-    flats_centered = [(level, [as_patch(f) - mu_c for f in frames]) for level, frames in flat_series]
-    gain, sigma_total = estimate_gain_and_read(flats_centered)
+    flats = [(lv, _frame_stack(fr, f"flats of level {lv}") - mu_c) for lv, fr in flat_series]
+    gain, sigma_total = estimate_gain_and_read(flats)
     sigma = math.sqrt(max(0.0, sigma_total**2 - sigma_r**2))
 
     return NoiseParams(K=max(gain, GAIN_FLOOR), sigma=sigma, mu_c=mu_c, sigma_r=sigma_r)

@@ -1,17 +1,18 @@
-"""Malformed NRAW, NEST and estimates-CSV inputs give a coded exit 2.
+"""Malformed NRAW, NEST, estimates-CSV and frame-set inputs give a coded exit 2.
 
-The probe table names each known malformed input and runs it through the
-CLI: exit 2, the expected code, and no output left behind.  The fuzz tests
-truncate a tiny NEST checkpoint and a small NRAW tensor at every length,
-XOR every byte with four masks, and splice tensor records; every load
-must succeed or raise the format's own error (``BAD_CHECKPOINT`` or
-``BAD_TENSOR_FILE``).
+The probe table names each known malformed input (a directory where a
+file is expected among them) and runs it through the CLI: exit 2, the
+expected code, and no output left behind.  The fuzz tests truncate a tiny
+NEST checkpoint and a small NRAW tensor at every length, XOR every byte
+with four masks, and splice tensor records; every load must succeed or
+raise the format's own error (``BAD_CHECKPOINT`` or ``BAD_TENSOR_FILE``).
 """
 
 import math
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +110,32 @@ def _eval_kl(base, real: bytes, *flags) -> list:
     return ["eval-kl", "--real", base / "real.nraw", "--synth", base / "synth.nraw", *flags]
 
 
+def _directory(base) -> Path:
+    (base / "d").mkdir()
+    return base / "d"
+
+
+def _write_noisy_frames(directory, frames) -> None:
+    directory.mkdir(parents=True)
+    for k, frame in enumerate(frames):
+        (directory / f"noisy_{k:04d}.nraw").write_bytes(tensor_to_bytes(frame))
+
+
+def _oracle(base, dark_shapes, flat_shapes) -> list:
+    """An oracle estimate with dark frames and level-1 flats of the given (H, W) shapes."""
+    rng = np.random.default_rng(0)
+    _write_noisy_frames(base / "dark", [rng.normal(size=(4, *hw)) for hw in dark_shapes])
+    for j, (level, shapes) in enumerate([(10.0, [(16, 16)] * 3), (40.0, flat_shapes)]):
+        _write_noisy_frames(base / "flat" / f"level_{j:02d}",
+                            [rng.normal(level, 3.0, size=(4, *hw)) for hw in shapes])
+        (base / "flat" / f"level_{j:02d}" / "clean.nraw").write_bytes(
+            tensor_to_bytes(np.full((4, 16, 16), level)))
+    return ["estimate", "--oracle", "--flat-series", base / "flat", "--dark", base / "dark",
+            "--out", base / "out.json"]
+
+
+MIXED = [(16, 16), (16, 32), (16, 16)]
+
 PROBES = {
     "nraw_wrapped_dims": (lambda base: _eval_kl(base, WRAPPED_NRAW), "BAD_TENSOR_FILE"),
     "nest_wrapped_dims": (lambda base: _estimate(base, WRAPPED_NEST), "BAD_CHECKPOINT"),
@@ -120,19 +147,36 @@ PROBES = {
         lambda base: _append(base, b"image_id,K\n" + ESTIMATES[len(CSV_HEADER):]), "DOMAIN"),
     "eval_kl_range_infinite": (
         lambda base: _eval_kl(base, NRAW, "--range", 0, "inf"), "DOMAIN"),
+    "oracle_dark_mixed_shapes": (lambda base: _oracle(base, MIXED, [(16, 16)] * 3), "SHAPE"),
+    "oracle_flat_level_mixed_shapes": (lambda base: _oracle(base, [(16, 16)] * 3, MIXED), "SHAPE"),
+    "calibrate_estimates_directory": (
+        lambda base: ["calibrate", "--estimates", _directory(base), "--out", base / "out.json"],
+        "IO_ERROR"),
+    "eval_kl_directory": (
+        lambda base: ["eval-kl", "--real", _directory(base), "--synth", base / "d"], "IO_ERROR"),
+    "estimate_checkpoint_directory": (
+        lambda base: [*_estimate(base)[:3], "--checkpoint", _directory(base),
+                      "--out", base / "out.json"], "IO_ERROR"),
+    "estimate_append_directory": (
+        lambda base: [*_estimate(base), "--append", _directory(base)], "IO_ERROR"),
 }
+
+
+def _tree(root) -> dict:
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 @pytest.mark.parametrize("case", sorted(PROBES))
 def test_malformed_input_is_coded_exit_2(tmp_path, capsys, case):
     build, code = PROBES[case]
     argv = build(tmp_path)
-    inputs = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    inputs = _tree(tmp_path)
     assert _status(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith(f"{code}: ")
     assert out == ""
-    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == inputs
+    assert _tree(tmp_path) == inputs
 
 
 # ----------------------------------------------------------------------

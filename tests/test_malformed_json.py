@@ -111,6 +111,8 @@ PROBES = {
     "train_is_list": ("train", b"[]", "CONFIG"),
     "nest_extractor_int": ("nest", _nest_header({**NET, "extractor": [5]}), "BAD_CHECKPOINT"),
     "nest_header_is_list": ("nest", b"[1]", "BAD_CHECKPOINT"),
+    "nest_metadata_is_list": (
+        "nest", _dump({"config": NET, "metadata": [1, "x"]}), "BAD_CHECKPOINT"),
 }
 
 FLAG_PROBES = {

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from rawnoise.errors import InsufficientDataError
+from rawnoise.errors import InsufficientDataError, ShapeError
 from rawnoise.noise_core import NoiseParams, synthesize_noise
 from rawnoise.oracle import (
+    _frame_stack,
     estimate_color_bias,
     estimate_gain_and_read,
     estimate_params_oracle,
@@ -118,6 +119,10 @@ class TestColorBias:
         with pytest.raises(InsufficientDataError):
             estimate_color_bias([])
 
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            estimate_color_bias([np.zeros((4, 16, 16)), np.zeros((4, 16, 32))])
+
 
 class TestComposedOracle:
     def _round_trip(self, params, seed):
@@ -176,6 +181,18 @@ class TestEstimatorProperties:
         assert estimate_params_oracle(series, darks) == estimate_params_oracle(
             perm_series, perm_darks
         )
+
+    def test_stacks_and_lists_agree(self):
+        """A set given as one float64 stack is used as is and estimates identically."""
+        params = NoiseParams(K=1.5, sigma=1.0, mu_c=0.4, sigma_r=0.7)
+        rng = derive_stream(112, 0)
+        series = make_flat_series(params, (5.0, 20.0, 80.0), 3, (4, 16, 16), rng)
+        darks = make_dark_frames(params, 4, (4, 16, 16), rng)
+        stacked = [(level, np.stack(frames)) for level, frames in series]
+        dark_stack = np.stack(darks)
+
+        assert _frame_stack(dark_stack, "dark frames") is dark_stack
+        assert estimate_params_oracle(stacked, dark_stack) == estimate_params_oracle(series, darks)
 
     def test_consistency_under_more_frames(self):
         """Median recovery error shrinks as the frame budget quadruples."""

@@ -1,10 +1,10 @@
-"""The benchmark's per-layer hooks still reach the estimator layers they time.
+"""The benchmark's per-layer hooks still reach the estimator and oracle layers they time.
 
 ``bench/tracing.py`` wraps functions at the place the program looks them up.
 A hook whose name a refactor removed is only reported as absent, and its
-layer then reads 0, so a rename in the network or the training loop would
-silently zero the per-layer metrics.  This test reads ``bench/`` and changes
-nothing there.
+layer then reads 0, so a rename in the network, the training loop or the
+oracle would silently zero the per-layer metrics.  This test reads
+``bench/`` and changes nothing there.
 """
 
 import importlib.util
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rawnoise import synthetic
+from rawnoise import oracle, synthetic
 from rawnoise.estimator import ConvStage, EstimatorConfig, train
 from rawnoise.streams import derive_stream
 
@@ -61,3 +61,27 @@ def test_estimator_hooks_resolve_and_record():
     assert idle == []
     assert tracer.stats["estimator.network.conv_backward"].counts["gflop"] > 0
     assert all(np.isfinite(row["total"]) for row in checkpoint.metadata["loss_log"])
+
+
+def test_oracle_hooks_resolve_and_record_one_call_each():
+    tracing = _load_tracing()
+    hooks = [hook for hook in tracing.HOOKS if str(hook[0]).startswith("oracle.")]
+    assert len(hooks) == 4
+
+    rng = np.random.default_rng(0)
+    flats = [(level, [rng.normal(level, 2.0, size=(4, 8, 8)) for _ in range(2)])
+             for level in (10.0, 40.0)]
+    darks = [rng.normal(0.5, 2.0, size=(4, 8, 8)) for _ in range(2)]
+    tracer = tracing.Tracer()
+    tracer.install(hooks)
+    try:
+        params = oracle.estimate_params_oracle(flats, darks)
+    finally:
+        tracer.uninstall()
+
+    assert tracer.absent == []
+    assert tracer.broken_counters == set()
+    assert {layer: tracer.stats[layer].calls for layer, *_ in hooks} == {
+        layer: 1 for layer, *_ in hooks
+    }
+    assert params.K > 0

@@ -112,8 +112,8 @@ def fit_log_linear(params: ParamSet) -> CameraModel:
     """Fit both log-linear noise-level functions from per-image estimates.
 
     Requires at least two entries with at least two distinct gains.
-    Negative sigma estimates are rejected; exact zeros are floored at
-    ``SIGMA_FLOOR`` (a warning is logged) so the logarithm exists.
+    Sigma estimates below ``SIGMA_FLOOR`` (exact zeros, say) are floored
+    there, with a warning, so the logarithm exists.
     """
     if len(params) < 2:
         raise InsufficientDataError(f"need >= 2 parameter tuples to fit, got {len(params)}")
@@ -123,8 +123,6 @@ def fit_log_linear(params: ParamSet) -> CameraModel:
     sigma_rs = np.array([p.sigma_r for _, p in params.entries], dtype=np.float64)
     biases = np.array([p.mu_c for _, p in params.entries], dtype=np.float64)
 
-    if np.any(sigmas < 0) or np.any(sigma_rs < 0):
-        raise DomainError("negative sigma estimates cannot enter the log-linear fit")
     for name, values in (("sigma", sigmas), ("sigma_r", sigma_rs)):
         floored = values < SIGMA_FLOOR
         if np.any(floored):

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,8 +36,8 @@ from .estimator import (
     estimate as estimate_with_checkpoint,
     train as train_estimator,
 )
-from .io import Manifest, atomic_write_text, read_tensor, write_tensor
-from .noise_core import NoiseParams, as_patch, synthesize_noise
+from .io import Manifest, atomic_write_text, load_json, read_tensor, save_json, write_tensor
+from .noise_core import NoiseParams, synthesize_noise
 from .records import Record
 from .streams import derive_stream
 
@@ -52,26 +53,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _load_json(source: str | Path, error: type[RawNoiseError], what: str):
-    """Parse inline JSON text, or the UTF-8 file when ``source`` is a Path."""
-    try:
-        return json.loads(source.read_text("utf-8") if isinstance(source, Path) else source)
-    except ValueError as exc:
-        raise error(f"{what} is not valid JSON: {exc}") from exc
-
-
 def _load_params_arg(value: str) -> NoiseParams:
     """Accept either a JSON file path or an inline JSON object."""
     source = value if value.strip().startswith("{") else Path(value)
-    return NoiseParams.from_dict(_load_json(source, DomainError, "noise parameters"))
+    return NoiseParams.from_dict(load_json(source, DomainError, "noise parameters"))
 
 
 def _load_camera(path) -> CameraModel:
-    return CameraModel.from_dict(_load_json(Path(path), DomainError, "camera model file"))
-
-
-def _save_json(path, record: dict) -> None:
-    atomic_write_text(Path(path), json.dumps(record, sort_keys=True, indent=2) + "\n")
+    return CameraModel.from_dict(load_json(Path(path), DomainError, "camera model file"))
 
 
 def _params_row(image_id: str, params: NoiseParams) -> list[str]:
@@ -86,24 +75,34 @@ def _csv_text(header: list[str], rows) -> str:
     return buffer.getvalue()
 
 
-def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
-    """The header and the non-blank (line number, row) pairs of a UTF-8 CSV file."""
+def _read_estimates(path: Path) -> tuple[list[str], list[tuple[str, NoiseParams, float | None]]]:
+    """The header and ``(image_id, params, iso or None)`` rows of a UTF-8 estimates CSV.
+
+    The header starts with PARAM_CSV_HEADER, optionally followed by ``iso``.
+    """
     try:
         reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
         header = next(reader, None)
-        return header, [(reader.line_num, row) for row in reader if row]
+        lines = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"{path} is not a readable UTF-8 CSV file: {exc}") from exc
-
-
-def _appendable_rows(path: Path) -> list[list[str]]:
-    """The rows of an existing estimates CSV to append to; none if it does not exist."""
-    if not path.exists():
-        return []
-    header, rows = _read_csv(path)
-    if header != PARAM_CSV_HEADER:
-        raise DomainError(f"{path} does not carry the parameter CSV header")
-    return [row for _, row in rows]
+    if header is None or header[: len(PARAM_CSV_HEADER)] != PARAM_CSV_HEADER:
+        raise DomainError(f"{path} must start with header {','.join(PARAM_CSV_HEADER)}")
+    has_iso = header[5:6] == ["iso"]
+    rows = []
+    for line_num, row in lines:
+        try:
+            if len(row) < len(PARAM_CSV_HEADER):
+                raise ValueError(f"expected {len(PARAM_CSV_HEADER)} fields, got {len(row)}")
+            image_id, k, sigma, mu_c, sigma_r = row[:5]
+            params = NoiseParams(
+                K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
+            )
+            iso = float(row[5]) if has_iso and len(row) > 5 and row[5] != "" else None
+        except ValueError as exc:
+            raise DomainError(f"{path} row {line_num}: {exc}") from exc
+        rows.append((image_id, params, iso))
+    return header, rows
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +110,7 @@ def _appendable_rows(path: Path) -> list[list[str]]:
 
 
 def _cmd_synthesize(args) -> int:
-    clean = as_patch(read_tensor(args.clean))
+    clean = read_tensor(args.clean)
     params = _load_params_arg(args.params)
     rng = derive_stream(args.seed, args.stream_index)
     noisy, _ = synthesize_noise(clean, params, rng)
@@ -134,38 +133,14 @@ def _cmd_synthesize(args) -> int:
 # calibrate
 
 
-def _read_estimates_csv(path) -> tuple[ParamSet, list[tuple[float, float]]]:
-    path = Path(path)
-    entries = []
-    iso_pairs = []
-    header, rows = _read_csv(path)
-    if header is None or header[: len(PARAM_CSV_HEADER)] != PARAM_CSV_HEADER:
-        raise DomainError(f"{path} must start with header {','.join(PARAM_CSV_HEADER)}")
-    has_iso = len(header) > len(PARAM_CSV_HEADER) and header[len(PARAM_CSV_HEADER)] == "iso"
-    for line_num, row in rows:
-        try:
-            if len(row) < len(PARAM_CSV_HEADER):
-                raise ValueError(f"expected {len(PARAM_CSV_HEADER)} fields, got {len(row)}")
-            image_id, k, sigma, mu_c, sigma_r = row[:5]
-            params = NoiseParams(
-                K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
-            )
-            if has_iso and len(row) > 5 and row[5] != "":
-                iso_pairs.append((float(row[5]), float(k)))
-        except ValueError as exc:
-            raise DomainError(f"{path} row {line_num}: {exc}") from exc
-        entries.append((image_id, params))
-    if len(entries) < 2:
-        raise InsufficientDataError(f"{path} holds {len(entries)} estimate row(s); need >= 2")
-    return ParamSet(entries), iso_pairs
-
-
 def _cmd_calibrate(args) -> int:
-    params, iso_pairs = _read_estimates_csv(args.estimates)
+    _, rows = _read_estimates(Path(args.estimates))
+    params = ParamSet([(image_id, p) for image_id, p, _ in rows])
     model = calibration.fit_log_linear(params)
+    iso_pairs = [(iso, p.K) for _, p, iso in rows if iso is not None]
     if iso_pairs:
         model = replace(model, alpha=calibration.fit_iso_gain(iso_pairs))
-    _save_json(args.out, model.as_dict())
+    save_json(args.out, model.as_dict())
     print(
         f"fit over {len(params)} estimates: "
         f"a={model.a:.6g} b={model.b:.6g} sigma_hat={model.sigma_hat:.6g} | "
@@ -180,18 +155,18 @@ def _cmd_calibrate(args) -> int:
 # estimate
 
 
-def _read_noisy_frames(directory) -> list[np.ndarray]:
-    """Every ``noisy_*.nraw`` tensor in ``directory``, in name order."""
+def _read_noisy_frames(directory) -> Iterator[np.ndarray]:
+    """Every ``noisy_*.nraw`` tensor in ``directory``, in name order, read as it is consumed."""
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"frame directory {directory} does not exist")
-    frames = [read_tensor(p) for p in sorted(directory.glob("noisy_*.nraw"))]
-    if not frames:
+    paths = sorted(directory.glob("noisy_*.nraw"))
+    if not paths:
         raise InsufficientDataError(f"{directory} holds no noisy frames")
-    return frames
+    return (read_tensor(p) for p in paths)
 
 
-def _read_flat_series(root) -> list[tuple[float, list[np.ndarray]]]:
+def _read_flat_series(root) -> list[tuple[float, Iterator[np.ndarray]]]:
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"flat-series directory {root} does not exist")
@@ -207,7 +182,11 @@ def _read_flat_series(root) -> list[tuple[float, list[np.ndarray]]]:
 
 
 def _cmd_estimate(args) -> int:
-    rows = _appendable_rows(Path(args.append)) if args.append else []
+    rows = []
+    if args.append and Path(args.append).exists():
+        header, rows = _read_estimates(Path(args.append))
+        if header != PARAM_CSV_HEADER:
+            raise DomainError(f"{args.append} does not carry the parameter CSV header")
     if args.oracle:
         if not args.flat_series or not args.dark:
             raise ConfigurationError("oracle mode needs --flat-series and --dark")
@@ -219,13 +198,14 @@ def _cmd_estimate(args) -> int:
         if not args.input or not args.checkpoint:
             raise ConfigurationError("checkpoint mode needs --input and --checkpoint")
         checkpoint = EstimatorCheckpoint.load(args.checkpoint)
-        params = estimate_with_checkpoint(as_patch(read_tensor(args.input)), checkpoint)
+        params = estimate_with_checkpoint(read_tensor(args.input), checkpoint)
         source = "checkpoint"
     record = {**params.as_dict(), "image_id": args.image_id, "source": source}
-    _save_json(args.out, record)
+    save_json(args.out, record)
     if args.append:
-        rows.append(_params_row(args.image_id, params))
-        atomic_write_text(Path(args.append), _csv_text(PARAM_CSV_HEADER, rows))
+        table = [_params_row(image_id, p) for image_id, p, _ in rows]
+        table.append(_params_row(args.image_id, params))
+        atomic_write_text(Path(args.append), _csv_text(PARAM_CSV_HEADER, table))
     return 0
 
 
@@ -246,7 +226,7 @@ def _cmd_sample_params(args) -> int:
             params = calibration.sample_params(model, rng)
         rows.append(_params_row(f"sample_{i:05d}", params))
     atomic_write_text(Path(args.out), _csv_text(PARAM_CSV_HEADER, rows))
-    _save_json(
+    save_json(
         str(args.out) + ".provenance.json",
         {
             "command": "sample-params",
@@ -299,7 +279,7 @@ def _cmd_gen_dataset(args) -> int:
         if not args.camera:
             raise ConfigurationError("train mode needs at least one --camera")
         cameras = [(Path(p).stem, _load_camera(p)) for p in args.camera]
-        _save_json(
+        save_json(
             out / "dataset.json",
             {**provenance, "cameras": {name: model.as_dict() for name, model in cameras}},
         )
@@ -327,7 +307,7 @@ def _cmd_gen_dataset(args) -> int:
             raise ConfigurationError("flat mode needs --levels, e.g. --levels 2,8,32,128")
         if not all(0 <= level < math.inf for level in levels):
             raise DomainError("flat levels must be finite and non-negative")
-        _save_json(
+        save_json(
             out / "dataset.json", {**provenance, "params": params.as_dict(), "levels": levels}
         )
         for j, level in enumerate(levels):
@@ -336,7 +316,7 @@ def _cmd_gen_dataset(args) -> int:
         return 0
 
     # dark mode: zero illumination
-    _save_json(out / "dataset.json", {**provenance, "params": params.as_dict()})
+    save_json(out / "dataset.json", {**provenance, "params": params.as_dict()})
     _write_frames(out, np.zeros(shape), params, args, 0)
     return 0
 
@@ -386,7 +366,7 @@ class TrainData(Record, error=ConfigurationError, ignore_unknown=True):
 
 
 def _cmd_train(args) -> int:
-    record = _load_json(Path(args.config), ConfigurationError, "training config")
+    record = load_json(Path(args.config), ConfigurationError, "training config")
     data = TrainData.from_dict(record)
     config = EstimatorConfig.from_dict(
         {k: v for k, v in record.items() if k not in TrainData.__dataclass_fields__}

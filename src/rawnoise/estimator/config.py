@@ -111,7 +111,3 @@ class EstimatorConfig(Record, error=ConfigurationError):
             raise ConfigurationError(f"input_scale must be positive, got {self.input_scale}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def projection_dim(self) -> int:
-        return self.projector[-1]

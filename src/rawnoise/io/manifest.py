@@ -10,14 +10,13 @@ versioned escape hatch: forward-compatible additions may ride inside an
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BadManifestError
 from ..noise_core import NoiseParams
 from ..records import Record
-from .atomic import atomic_write_text
+from .jsonfile import load_json, save_json
 
 MANIFEST_VERSION = 1
 
@@ -46,12 +45,8 @@ class Manifest(Record, error=BadManifestError):
         return super().from_dict({k: v for k, v in record.items() if k != "version"})
 
     def save(self, path) -> None:
-        atomic_write_text(Path(path), json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n")
+        save_json(path, self.as_dict())
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        try:
-            record = json.loads(Path(path).read_text("utf-8"))
-        except ValueError as exc:
-            raise BadManifestError(f"manifest is not valid JSON: {exc}") from exc
-        return cls.from_dict(record)
+        return cls.from_dict(load_json(Path(path), BadManifestError, "manifest"))

@@ -11,8 +11,10 @@ An NRAW file is one record behind a fixed header, with nothing after it:
 The only dtype code is 1 (32-bit float, little-endian).  Storage is 32-bit
 for economy while all computation stays in 64-bit: readers upcast on load,
 and since every float32 is exactly representable as float64 the
-write/read/write round trip is bit-exact.  NEST checkpoints store their
-tensors as named float64 records (``estimator.checkpoint``).
+write/read/write round trip is bit-exact.  Every stored value is finite: a
+tensor that is not finite as float32 is refused before anything is written.
+NEST checkpoints store their tensors as named float64 records
+(``estimator.checkpoint``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadTensorFileError, FileFormatError
+from ..errors import BadTensorFileError, DomainError, FileFormatError
 from .atomic import atomic_write_bytes
 
 MAGIC = b"NRAW"
@@ -63,7 +65,12 @@ def unpack_tensor(
 
 
 def tensor_to_bytes(array: np.ndarray) -> bytes:
-    return MAGIC + struct.pack("<II", FORMAT_VERSION, DTYPE_F32) + pack_tensor(array, "<f4")
+    """Encode ``array`` as an NRAW file; DomainError if a value is not a finite float32."""
+    with np.errstate(over="ignore"):  # an overflowing cast is refused just below
+        payload = np.asarray(array, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise DomainError("tensor holds a value that is not finite as float32; NRAW cannot hold it")
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, DTYPE_F32) + pack_tensor(payload, "<f4")
 
 
 def tensor_from_bytes(raw: bytes) -> np.ndarray:

@@ -64,12 +64,15 @@ def build_histogram(
 ) -> NoiseHistogram:
     """Bin samples uniformly over ``value_range`` and normalize by count.
 
-    Values outside the range are clipped into the boundary bins.  When no
-    range is given the scale-adaptive default is used.
+    Values outside the range are clipped into the boundary bins; NaN and
+    infinite samples raise DomainError.  When no range is given the
+    scale-adaptive default is used.
     """
     values = np.asarray(noise_values, dtype=np.float64).ravel()
     if values.size == 0:
         raise InsufficientDataError("cannot build a histogram from no samples")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("histogram samples must be finite")
     if bins < 2:
         raise DomainError(f"need at least 2 bins, got {bins}")
     if value_range is None:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .records import Record
 
-CHANNEL_NAMES = ("R", "Gr", "Gb", "B")
 NUM_CHANNELS = 4
 
 
@@ -96,15 +95,19 @@ def sample_shot(clean: np.ndarray, K: float, rng: np.random.Generator) -> np.nda
     a Poisson count is drawn per pixel, and the result is scaled back, so
     ``clean + sample_shot(...)`` has mean ``clean`` and variance
     ``K * clean`` per pixel.  Real-valued rates are permitted; rates of
-    zero produce exactly zero noise.
+    zero produce exactly zero noise.  A rate beyond the Poisson sampler's
+    range raises DomainError.
     """
     clean = np.asarray(clean, dtype=np.float64)
     if not (K > 0 and math.isfinite(K)):
         raise DomainError(f"K must be positive, got {K}")
     if np.any(clean < 0):
         raise DomainError("clean signal must be non-negative for shot sampling")
-    lam = clean / K
-    return K * rng.poisson(lam).astype(np.float64) - clean
+    try:
+        counts = rng.poisson(clean / K)
+    except ValueError as exc:
+        raise DomainError(f"shot-noise rate clean / K is out of range (K={K}): {exc}") from exc
+    return K * counts.astype(np.float64) - clean
 
 
 def sample_read(shape, mu_c: float, sigma: float, rng: np.random.Generator) -> np.ndarray:

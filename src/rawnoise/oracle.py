@@ -35,9 +35,10 @@ MIN_PACKED_WIDTH = 8  # 16 physical columns
 
 
 def _frame_stack(frames, what: str, at_least: int = 1) -> np.ndarray:
-    """One frame set, a list of packed frames or their stack, as a validated float64 stack.
+    """One frame set, any iterable of packed frames or their stack, as a validated float64 stack.
 
-    A float64 ``(n, 4, H, W)`` array is returned as is.  Raises
+    This is the one place a frame set is gathered; an iterable is consumed
+    once.  A float64 ``(n, 4, H, W)`` array is returned as is.  Raises
     InsufficientDataError below ``at_least`` frames, ShapeError for mixed
     or unpacked shapes, and DomainError for non-finite values.
     """
@@ -87,8 +88,9 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
 
     Args:
         flat_series: iterable of ``(clean_level, frames)`` with at least two
-            distinct levels and two frames per level; ``frames`` is a list
-            or a stack of packed patches synthesized/captured flat at that level.
+            distinct levels and two frames per level; ``frames`` is any
+            iterable of packed patches synthesized/captured flat at that
+            level, or their stack.
 
     Per-level pooled pixel variance is regressed against level: the slope
     is the gain K and the intercept is ``sigma^2 + sigma_r^2``.  A negative
@@ -139,7 +141,8 @@ def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
     remaining components are measured; the read std is recovered from the
     photon-transfer intercept by removing the row variance.  The returned
     tuple always satisfies the parameter invariants (K floored at
-    ``GAIN_FLOOR``, sigmas at zero).
+    ``GAIN_FLOOR``, sigmas at zero).  Each frame set (the darks, the flats
+    of a level) is any iterable of packed frames, or their stack.
     """
     darks = _frame_stack(dark_frames, "dark frames")
     mu_c = estimate_color_bias(darks)

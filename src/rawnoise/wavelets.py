@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ShapeError
 from .noise_core import NUM_CHANNELS
 
-SUBBAND_NAMES = ("LL", "LH", "HL", "HH")
-# The operations combining q, r and s into each band, in SUBBAND_NAMES order.
+# The operations combining q, r and s into each band, in LL, LH, HL, HH order.
 _BAND_SIGNS = (
     (np.add, np.add, np.add),
     (np.subtract, np.add, np.subtract),

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, determinism, error codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,37 @@ class TestGenDatasetAndOracle:
         assert run("gen-dataset", "--out", out, "--seed", 1, "--params", PARAMS_JSON, *flags) == 2
         assert capsys.readouterr().err.startswith(f"{code}: ")
         assert not out.exists()
+
+    def test_shot_rate_beyond_sampler_range_is_domain_error(self, tmp_path, capsys):
+        """A level of 1e30 at K = 1e-10 is a Poisson rate of 1e40; numpy's sampler refuses it."""
+        assert run(
+            "gen-dataset", "--out", tmp_path / "set", "--seed", 1, "--mode", "flat",
+            "--count", 2, "--levels", "1e30", "--height", 8, "--width", 8,
+            "--params", '{"K": 1e-10, "sigma": 1.0, "mu_c": 0.0, "sigma_r": 1.0}',
+        ) == 2
+        assert capsys.readouterr().err.startswith("DOMAIN: ")
+
+    def test_oracle_holds_one_copy_of_each_frame_set(self, tmp_path):
+        """Frames are read as the oracle stacks them: no frame list outlives its stack.
+
+        32 darks of 4x64x64 are 4 MiB as float64.  Holding the dark list
+        beside the oracle's stack and its working copies peaked at 3.5x that.
+        """
+        params = '{"K": 1.0, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
+        frames = ["--params", params, "--height", 64, "--width", 64]
+        assert run("gen-dataset", "--out", tmp_path / "flats", "--seed", 1, "--mode", "flat",
+                   "--count", 4, "--levels", "4,16,64", *frames) == 0
+        assert run("gen-dataset", "--out", tmp_path / "darks", "--seed", 2, "--mode", "dark",
+                   "--count", 32, *frames) == 0
+        dark_bytes = 32 * 4 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            assert run("estimate", "--oracle", "--flat-series", tmp_path / "flats",
+                       "--dark", tmp_path / "darks", "--out", tmp_path / "est.json") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * dark_bytes, f"peak {peak / dark_bytes:.2f}x the dark set"
 
     def test_oracle_estimate_round_trip(self, tmp_path):
         params = '{"K": 1.0, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'

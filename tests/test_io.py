@@ -1,12 +1,22 @@
-"""Binary tensor format and manifest schema round trips."""
+"""Binary tensor format, JSON files and manifest schema round trips."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rawnoise.errors import BadManifestError, BadTensorFileError
-from rawnoise.io import Manifest, read_tensor, tensor_from_bytes, tensor_to_bytes, write_tensor
+from rawnoise.errors import BadManifestError, BadTensorFileError, DomainError
+from rawnoise.io import (
+    Manifest,
+    load_json,
+    read_tensor,
+    save_json,
+    tensor_from_bytes,
+    tensor_to_bytes,
+    write_tensor,
+)
 from rawnoise.noise_core import NoiseParams
 
 
@@ -41,6 +51,16 @@ class TestTensorFile:
         raw[8] = 7  # dtype code field
         with pytest.raises(BadTensorFileError):
             tensor_from_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300], ids=["nan", "inf", "overflow"])
+    def test_non_finite_float32_refused_before_writing(self, tmp_path, bad):
+        """1e300 is finite as float64 but overflows the float32 cast, silently."""
+        path = tmp_path / "t.nraw"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite as float32"):
+                write_tensor(path, np.array([[0.0, bad]]))
+        assert not path.exists()
 
 
 class TestManifest:
@@ -80,3 +100,16 @@ class TestManifest:
     def test_missing_camera_id_rejected(self):
         with pytest.raises(BadManifestError):
             Manifest.from_dict({"version": 1})
+
+    def test_saved_with_the_json_file_codec(self, tmp_path):
+        manifest = Manifest(camera_id="c", seed=3, params=NoiseParams(1.5, 2.0, -0.5, 0.8))
+        manifest.save(tmp_path / "m.json")
+        save_json(tmp_path / "r.json", manifest.as_dict())
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+        assert load_json(tmp_path / "m.json", BadManifestError, "manifest") == manifest.as_dict()
+
+    def test_invalid_json_names_what_was_read(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("{not json")
+        with pytest.raises(BadManifestError, match="^manifest is not valid JSON"):
+            Manifest.load(path)

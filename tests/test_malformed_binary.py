@@ -1,8 +1,9 @@
 """Malformed NRAW, NEST, estimates-CSV and frame-set inputs give a coded exit 2.
 
 The probe table names each known malformed input (a directory where a
-file is expected among them) and runs it through the CLI: exit 2, the
-expected code, and no output left behind.  The fuzz tests truncate a tiny
+file is expected, non-finite samples and noise parameters that no NRAW
+file or sampler can hold among them) and runs it through the CLI: exit 2,
+the expected code, and no output left behind.  The fuzz tests truncate a tiny
 NEST checkpoint and a small NRAW tensor at every length, XOR every byte
 with four masks, and splice tensor records; every load must succeed or
 raise the format's own error (``BAD_CHECKPOINT`` or ``BAD_TENSOR_FILE``).
@@ -110,6 +111,18 @@ def _eval_kl(base, real: bytes, *flags) -> list:
     return ["eval-kl", "--real", base / "real.nraw", "--synth", base / "synth.nraw", *flags]
 
 
+def _synthesize(base, params: str) -> list:
+    (base / "clean.nraw").write_bytes(tensor_to_bytes(np.full((4, 8, 8), 100.0)))
+    return ["synthesize", "--clean", base / "clean.nraw", "--params", params, "--seed", 1,
+            "--out", base / "out.nraw"]
+
+
+def _nraw_float32(value: float) -> bytes:
+    """A (4, 8, 8) NRAW file of ``value``, written byte by byte: write_tensor refuses non-finite."""
+    header = b"NRAW" + struct.pack("<II4I", 1, 1, 3, 4, 8, 8)
+    return header + np.full((4, 8, 8), value, dtype="<f4").tobytes()
+
+
 def _directory(base) -> Path:
     (base / "d").mkdir()
     return base / "d"
@@ -145,6 +158,18 @@ PROBES = {
     "append_csv_not_utf8": (lambda base: _append(base, ESTIMATES + b"c,\xff\n"), "DOMAIN"),
     "append_csv_wrong_header": (
         lambda base: _append(base, b"image_id,K\n" + ESTIMATES[len(CSV_HEADER):]), "DOMAIN"),
+    "append_csv_malformed_row": (
+        lambda base: _append(base, ESTIMATES + b"x,abc,1,1,1\n"), "DOMAIN"),
+    "synthesize_shot_rate_out_of_range": (
+        lambda base: _synthesize(base, '{"K": 1e-20, "sigma": 1, "mu_c": 0, "sigma_r": 1}'),
+        "DOMAIN"),
+    "synthesize_float32_overflow": (
+        lambda base: _synthesize(base, '{"K": 1, "sigma": 1e300, "mu_c": 0, "sigma_r": 1}'),
+        "DOMAIN"),
+    "eval_kl_real_nan": (
+        lambda base: _eval_kl(base, _nraw_float32(math.nan), "--range", -1, 1), "DOMAIN"),
+    "eval_kl_real_inf": (
+        lambda base: _eval_kl(base, _nraw_float32(math.inf), "--range", -1, 1), "DOMAIN"),
     "eval_kl_range_infinite": (
         lambda base: _eval_kl(base, NRAW, "--range", 0, "inf"), "DOMAIN"),
     "oracle_dark_mixed_shapes": (lambda base: _oracle(base, MIXED, [(16, 16)] * 3), "SHAPE"),

@@ -63,6 +63,12 @@ class TestBuildHistogram:
         with pytest.raises(DomainError):
             build_histogram(np.ones(4), bins=8, value_range=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        """NaN was dropped and +-inf clipped into an edge bin; both are now refused."""
+        with pytest.raises(DomainError, match="finite"):
+            build_histogram(np.array([0.0, bad, 0.5]), bins=8, value_range=(-1.0, 1.0))
+
 
 class TestKLDivergence:
     def test_identical_distributions(self):

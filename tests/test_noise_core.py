@@ -101,6 +101,11 @@ class TestSampleShot:
         with pytest.raises(DomainError):
             sample_shot(np.ones((4, 2, 2)), 0.0, rng)
 
+    def test_rate_beyond_sampler_range_is_domain_error(self):
+        """clean / K = 1e22 is past numpy's Poisson range; its ValueError becomes DomainError."""
+        with pytest.raises(DomainError, match="clean / K"):
+            sample_shot(np.full((4, 2, 2), 100.0), 1e-20, np.random.default_rng(4))
+
 
 class TestSampleRead:
     def test_degenerate_gaussian_is_constant(self):

@@ -11,6 +11,7 @@ files atomically, and reports failures as a single machine-parsable line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -243,30 +244,61 @@ def _cmd_sample_params(args) -> int:
 # gen-dataset
 
 
-def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index) -> None:
-    """Corrupt ``clean`` and write ``<stem>.nraw`` with its ``<stem>.json`` manifest."""
+@contextlib.contextmanager
+def _removed_on_failure(dirs):
+    """Yield a list for the paths a command writes under ``dirs``.
+
+    If the command fails, every listed file is deleted, and so is every
+    directory in ``dirs`` or above them that did not exist on entry; other
+    files and directories stay as they were.
+    """
+    created = []
+    for directory in dirs:
+        while not directory.exists() and directory not in created:
+            created.append(directory)
+            directory = directory.parent
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in sorted(created, key=lambda d: len(d.parts), reverse=True):
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index, written) -> None:
+    """Corrupt ``clean``, write ``<stem>.nraw`` and its ``<stem>.json`` manifest, list both."""
     noisy, _ = synthesize_noise(clean, params, rng)
     write_tensor(stem.with_suffix(".nraw"), noisy)
+    written.append(stem.with_suffix(".nraw"))
     Manifest(camera_id=camera_id, params=params, seed=seed, stream_index=index).save(
         stem.with_suffix(".json")
     )
+    written.append(stem.with_suffix(".json"))
 
 
-def _write_frames(out: Path, clean, params, args, first_index: int) -> None:
+def _write_frames(out: Path, clean, params, args, first_index: int, written) -> None:
     """Write ``clean.nraw`` and ``--count`` noisy frames of it on streams ``first_index + k``."""
     write_tensor(out / "clean.nraw", clean)
+    written.append(out / "clean.nraw")
     for k in range(args.count):
         index = first_index + k
         rng = derive_stream(args.seed, index)
-        _write_noisy(out / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed, index)
+        _write_noisy(
+            out / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed, index, written
+        )
 
 
 def _cmd_gen_dataset(args) -> int:
+    """Write the dataset tree; a refused run removes every file it wrote."""
     for flag in ("count", "height", "width"):
         if getattr(args, flag) < 1:
             raise DomainError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     out = Path(args.out)
-    provenance = {
+    header = {
         "command": "gen-dataset",
         "mode": args.mode,
         "seed": args.seed,
@@ -279,25 +311,15 @@ def _cmd_gen_dataset(args) -> int:
         if not args.camera:
             raise ConfigurationError("train mode needs at least one --camera")
         cameras = [(Path(p).stem, _load_camera(p)) for p in args.camera]
-        save_json(
-            out / "dataset.json",
-            {**provenance, "cameras": {name: model.as_dict() for name, model in cameras}},
-        )
-        for i in range(args.count):
-            rng = derive_stream(args.seed, i)
-            scene = synthetic.make_scene(rng, args.height, args.width, args.white_level)
-            camera_id, camera = cameras[rng.integers(len(cameras))]
-            params = calibration.sample_params(camera, rng)
-            write_tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
-            _write_noisy(
-                out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i
-            )
-        return 0
-
-    params = _load_params_arg(args.params) if args.params else None
-    if params is None:
-        raise ConfigurationError(f"{args.mode} mode needs --params")
-    shape = (4, args.height, args.width)
+        header["cameras"] = {name: model.as_dict() for name, model in cameras}
+        dirs = [out / "clean", out / "noisy"]
+    else:
+        params = _load_params_arg(args.params) if args.params else None
+        if params is None:
+            raise ConfigurationError(f"{args.mode} mode needs --params")
+        header["params"] = params.as_dict()
+        shape = (4, args.height, args.width)
+        dirs = [out]
     if args.mode == "flat":
         try:
             levels = [float(v) for v in args.levels.split(",")] if args.levels else []
@@ -307,17 +329,30 @@ def _cmd_gen_dataset(args) -> int:
             raise ConfigurationError("flat mode needs --levels, e.g. --levels 2,8,32,128")
         if not all(0 <= level < math.inf for level in levels):
             raise DomainError("flat levels must be finite and non-negative")
-        save_json(
-            out / "dataset.json", {**provenance, "params": params.as_dict(), "levels": levels}
-        )
-        for j, level in enumerate(levels):
-            clean = np.full(shape, level)
-            _write_frames(out / f"level_{j:02d}", clean, params, args, j * args.count)
-        return 0
+        header["levels"] = levels
+        dirs = [out / f"level_{j:02d}" for j in range(len(levels))]
 
-    # dark mode: zero illumination
-    save_json(out / "dataset.json", {**provenance, "params": params.as_dict()})
-    _write_frames(out, np.zeros(shape), params, args, 0)
+    with _removed_on_failure(dirs) as written:
+        save_json(out / "dataset.json", header)
+        written.append(out / "dataset.json")
+        if args.mode == "train":
+            for i in range(args.count):
+                rng = derive_stream(args.seed, i)
+                scene = synthetic.make_scene(rng, args.height, args.width, args.white_level)
+                camera_id, camera = cameras[rng.integers(len(cameras))]
+                params = calibration.sample_params(camera, rng)
+                write_tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
+                written.append(out / "clean" / f"patch_{i:05d}.nraw")
+                _write_noisy(
+                    out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i,
+                    written,
+                )
+        elif args.mode == "flat":
+            for j, level in enumerate(levels):
+                clean = np.full(shape, level)
+                _write_frames(out / f"level_{j:02d}", clean, params, args, j * args.count, written)
+        else:  # dark mode: zero illumination
+            _write_frames(out, np.zeros(shape), params, args, 0, written)
     return 0
 
 

@@ -15,16 +15,33 @@ differences.  Training is bit-reproducible on the same machine with the
 same numpy and BLAS build; a BLAS that picks its kernels per CPU (such as
 OpenBLAS built with DYNAMIC_ARCH) may round differently elsewhere.
 
-Convolutions are lowered to GEMM by im2col.  The input is copied once into
-a zero-bordered buffer, and one copy from a sliding-window view of it
-builds the column matrix, laid out ``(N, c*k*k, oh*ow)`` with rows ordered
-(channel, kernel row, kernel column); the forward pass is one GEMM per
-sample with the bias added in place.  In the backward pass, the weight
-gradient is one GEMM per sample, summed in sample order, and col2im adds
-the k*k column planes into each input pixel in (row, column) order,
-starting from zero.  The first convolution's input gradient reaches no
-parameter, so it is never computed.  The Haar front end upcasts float32
-patches to float64 inside its first add.
+The Haar front end has no parameters, so it is folded into the first
+convolution rather than run on every batch.  The transform is orthonormal
+and linear, so a stage with kernel k, stride s and pad k//2 on the gained
+Haar planes is a 2k kernel with stride 2s and pad 2*(k//2) on the 4 raw
+channels, with weights ``haar_idwt2(weight * gain)``; its weight gradient
+maps back as ``haar_dwt2(d_fold) * gain``.  The stored parameters stay
+Haar-domain weights.
+
+Activations are channel-major with the batch innermost, ``(C, H, W, N)``,
+so every kernel-offset slice of a layer is a run of whole batch rows.
+Convolutions are lowered to GEMM by im2col: the input is copied once into
+a zero-bordered buffer (the first copy also moves the ``(N, 4, H, W)``
+patches into this layout), and one copy from a sliding-window view builds
+the ``(c*k*k, oh*ow*N)`` column matrix, rows ordered (channel, kernel row,
+kernel column).  A layer is then one forward GEMM with the bias added in
+place, one weight-gradient GEMM over the whole batch, and one column-
+gradient GEMM whose col2im adds the k*k column planes into each input
+pixel in (row, column) order, starting from zero.  The first
+convolution's input gradient reaches no parameter, so it is never
+computed.
+
+Training runs the convolutions in float32: the weights are cast once per
+step, pooling hands float64 features to the MLPs and losses, and the conv
+weight gradients are upcast before the float64 optimizer state sees
+them.  Parameters, optimizer state and checkpoints stay float64, and
+inference, evaluation and the exact-gradient ops compute in float64
+throughout.
 
 Parameters live in a flat ``{name: float64 array}`` dict with names like
 ``extractor.0.weight`` / ``projector.1.bias``; convolutions store weights
@@ -42,7 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import ShapeError
 from ..noise_core import NUM_CHANNELS
 from ..streams import derive_stream
-from ..wavelets import haar_dwt2
+from ..wavelets import haar_dwt2, haar_idwt2
 from .config import EstimatorConfig
 
 HAAR_PLANES = 4 * NUM_CHANNELS
@@ -75,84 +92,70 @@ def parameter_shapes(config: EstimatorConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _conv_forward(x, weight, bias, stride):
-    n, c, h, w = x.shape
+def _conv_forward(x, weight, bias, stride, pad):
+    """Channel-major convolution: ``(c, h, w, n) -> (out, oh, ow, n)``."""
+    c, h, w, n = x.shape
     out_ch, _, k, _ = weight.shape
-    pad = k // 2
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (n, c, oh, ow, k, k) windows; reshaping the transposed view is the one copy.
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
-    y = np.matmul(weight.reshape(out_ch, -1), cols)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=weight.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    # (c, oh, ow, n, k, k) windows; reshaping the transposed view is the one copy.
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n)
+    y = weight.reshape(out_ch, -1) @ cols
     y += bias[:, None]
-    return y.reshape(n, out_ch, oh, ow), (x.shape, cols, oh, ow)
-
-
-def _weight_grad(dy2, cols):
-    """``sum_s dy2[s] @ cols[s].T``: one GEMM per sample, summed in sample order."""
-    cols_t = cols.transpose(0, 2, 1)
-    total = np.matmul(dy2[0], cols_t[0])
-    term = np.empty_like(total)
-    for s in range(1, dy2.shape[0]):
-        np.matmul(dy2[s], cols_t[s], out=term)
-        total += term
-    return total
+    return y.reshape(out_ch, oh, ow, n), (x.shape, cols, pad)
 
 
 def _conv_backward(dy, weight, stride, cache, want_dx=True):
     """Gradients ``(dx, d_weight, d_bias)``; ``dx`` is None unless ``want_dx``."""
-    x_shape, cols, oh, ow = cache
-    n, c, h, w = x_shape
+    (c, h, w, n), cols, pad = cache
     out_ch, _, k, _ = weight.shape
-    pad = k // 2
-    dy2 = dy.reshape(n, out_ch, oh * ow)
-    d_weight = _weight_grad(dy2, cols).reshape(weight.shape)
-    d_bias = dy2.sum(axis=(0, 2))
+    oh, ow = dy.shape[1:3]
+    dy2 = dy.reshape(out_ch, oh * ow * n)
+    # cols @ dy2.T runs faster than dy2 @ cols.T in OpenBLAS; the transpose is small.
+    d_weight = (cols @ dy2.T).T.reshape(weight.shape)
+    d_bias = dy2.sum(axis=1)
     if not want_dx:
         return None, d_weight, d_bias
-    dcols = np.matmul(weight.reshape(out_ch, -1).T, dy2).reshape(n, c, k, k, oh, ow)
-    # col2im with (n, c) innermost, so each of the k*k adds runs over long
-    # contiguous rows; every pixel still sums its terms in (i, j) order from 0.
-    terms = np.ascontiguousarray(dcols.transpose(2, 3, 4, 5, 0, 1))
-    dxp = np.zeros((h + 2 * pad, w + 2 * pad, n, c))
+    dcols = (weight.reshape(out_ch, -1).T @ dy2).reshape(c, k, k, oh, ow, n)
+    # col2im: every pixel sums its terms in (i, j) order, starting from zero.
+    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
-            dxp[i : i + stride * oh : stride, j : j + stride * ow : stride] += terms[i, j]
-    dx = np.ascontiguousarray(dxp[pad : pad + h, pad : pad + w].transpose(2, 3, 0, 1))
-    return dx, d_weight, d_bias
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
+    return dxp[:, pad : pad + h, pad : pad + w], d_weight, d_bias
 
 
 def _pool_forward(a):
-    """Global mean+std pooling per channel: (N, C, h, w) -> (N, 2C)."""
-    n, c = a.shape[:2]
-    m = a.shape[2] * a.shape[3]
-    flat = a.reshape(n, c, m)
-    mean = flat.mean(axis=2)
-    centered = flat - mean[:, :, None]
-    std = np.sqrt((centered**2).mean(axis=2))
-    return np.concatenate([mean, std], axis=1), (centered, std, a.shape)
+    """Global mean+std pooling per channel: (C, h, w, N) -> float64 (N, 2C)."""
+    c, n = a.shape[0], a.shape[3]
+    flat = a.reshape(c, -1, n)
+    mean = flat.mean(axis=1)
+    centered = flat - mean[:, None, :]
+    std = np.sqrt((centered**2).mean(axis=1))
+    h = np.empty((n, 2 * c))
+    h[:, :c] = mean.T
+    h[:, c:] = std.T
+    return h, (centered, std, a.shape)
 
 
 def _pool_backward(dh, cache):
     centered, std, shape = cache
-    c = shape[1]
-    m = shape[2] * shape[3]
-    d_mean = dh[:, :c]
-    d_std = dh[:, c:]
+    c, m = centered.shape[:2]
+    d_mean = dh[:, :c].T.astype(centered.dtype)
+    d_std = dh[:, c:].T.astype(centered.dtype)
     # d std / d a_i = centered_i / (m * std); zero subgradient at std == 0.
     safe = np.where(std > 0.0, std, 1.0)
     coeff = np.where(std > 0.0, d_std / (m * safe), 0.0)
-    dflat = d_mean[:, :, None] / m + coeff[:, :, None] * centered
+    dflat = d_mean[:, None, :] / m + coeff[:, None, :] * centered
     return dflat.reshape(shape)
 
 
 def _nonlin_forward(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0), z
-    out = np.tanh(z)
+    """Apply the nonlinearity in place; its output is also the backward cache."""
+    out = np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
     return out, out
 
 
@@ -193,25 +196,41 @@ class EstimatorNetwork:
             )
         return patches
 
-    def forward_batch(self, patches: np.ndarray, want_cache: bool = False):
+    def _front_gain(self) -> np.ndarray:
+        """``input_scale * BAND_GAIN`` shaped to scale (..., 16, k, k) Haar planes."""
+        return self.config.input_scale * BAND_GAIN[:, None, None]
+
+    def _conv_stages(self, dtype):
+        """``(weight, bias, stride, pad)`` in ``dtype`` per stage, the first one folded."""
+        stages = []
+        for i, stage in enumerate(self.config.extractor):
+            weight = self.params[f"extractor.{i}.weight"]
+            stride, pad = stage.stride, stage.kernel // 2
+            if i == 0:
+                weight = haar_idwt2(weight * self._front_gain())
+                stride, pad = 2 * stride, 2 * pad
+            bias = self.params[f"extractor.{i}.bias"]
+            stages.append((weight.astype(dtype), bias.astype(dtype), stride, pad))
+        return stages
+
+    def forward_batch(self, patches: np.ndarray, want_cache: bool = False, dtype=np.float64):
         """Run the full network on a stack of patches.
 
         Returns ``(h, z, r, cache)`` where ``h`` is the pooled feature,
         ``z`` the projection, and ``r`` the head output in transformed
-        parameter space; ``cache`` is None unless requested.
+        parameter space; ``cache`` is None unless requested.  The
+        convolutions compute in ``dtype``; ``h`` and everything after it
+        are float64.
         """
         patches = self._check_input(patches)
-        x = haar_dwt2(patches)
-        x *= self.config.input_scale * BAND_GAIN[:, None, None]
-
+        x = patches.transpose(1, 2, 3, 0)  # copied once, into the first padded buffer
         conv_caches = []
-        for i, stage in enumerate(self.config.extractor):
-            y, conv_cache = _conv_forward(
-                x, self.params[f"extractor.{i}.weight"], self.params[f"extractor.{i}.bias"],
-                stage.stride,
-            )
+        for stage, (weight, bias, stride, pad) in zip(
+            self.config.extractor, self._conv_stages(dtype)
+        ):
+            y, conv_cache = _conv_forward(x, weight, bias, stride, pad)
             x, nl_cache = _nonlin_forward(y, stage.nonlinearity)
-            conv_caches.append((conv_cache, nl_cache))
+            conv_caches.append((conv_cache, nl_cache, weight, stride))
 
         h, pool_cache = _pool_forward(x)
         z, proj_caches = self._mlp_forward("projector", self.config.projector, h)
@@ -260,13 +279,14 @@ class EstimatorNetwork:
 
         dx = _pool_backward(dh, pool_cache)
         for i in reversed(range(len(self.config.extractor))):
-            stage = self.config.extractor[i]
-            conv_cache, nl_cache = conv_caches[i]
-            dy = _nonlin_backward(dx, stage.nonlinearity, nl_cache)
+            conv_cache, nl_cache, weight, stride = conv_caches[i]
+            dy = _nonlin_backward(dx, self.config.extractor[i].nonlinearity, nl_cache)
             # The input gradient of the first convolution reaches no parameter.
-            dx, d_weight, d_bias = _conv_backward(
-                dy, self.params[f"extractor.{i}.weight"], stage.stride, conv_cache, i > 0
-            )
+            dx, d_weight, d_bias = _conv_backward(dy, weight, stride, conv_cache, i > 0)
+            if i == 0:
+                # The adjoint of the fold maps the raw-pixel kernel gradient
+                # back onto the stored Haar-domain weight.
+                d_weight = haar_dwt2(d_weight) * self._front_gain()
             grads[f"extractor.{i}.weight"] += d_weight
             grads[f"extractor.{i}.bias"] += d_bias
         return grads

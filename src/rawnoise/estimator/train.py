@@ -8,7 +8,10 @@ first-moment coefficient 0.9, and the step size is divided by
 ``decay_factor`` every ``decay_epochs`` epochs within each stage.
 
 Runs are fully reproducible: the parameter init, the triplet dataset, and
-the epoch shuffles each use a stream derived from ``config.seed``.
+the epoch shuffles each use a stream derived from ``config.seed``.  The
+training step runs the network's convolutions in float32 over float64
+master parameters and Adam state; ``total_loss``, ``backward`` and the
+inference ops compute in float64 throughout.
 """
 
 from __future__ import annotations
@@ -45,16 +48,18 @@ def _loss_and_grads(
     batch: TripletBatch,
     joint: bool,
     want_grads: bool,
+    dtype=np.float64,
 ):
     """Loss components (and gradients) for one batch.
 
     ``joint=False`` is the stage-1 objective (contrastive only);
     ``joint=True`` is the full loss.  Returns ``(parts, grads)`` where
-    parts has keys contrastive / regression / total.
+    parts has keys contrastive / regression / total.  The convolutions
+    compute in ``dtype``; losses and gradients are float64.
     """
     config = net.config
     n_anchors = len(batch)
-    _, z, r, cache = net.forward_batch(_stacked(batch), want_cache=want_grads)
+    _, z, r, cache = net.forward_batch(_stacked(batch), want_cache=want_grads, dtype=dtype)
 
     c_loss, d_proj = batch_contrastive(z, n_anchors, config.tau, want_grads)
     if not joint:
@@ -173,7 +178,9 @@ def train(
                 idx = order[start : start + config.batch_size]
                 if idx.size < 2:
                     continue  # a lone triplet has no in-batch contrast
-                parts, grads = _loss_and_grads(net, _take(dataset, idx), joint, True)
+                parts, grads = _loss_and_grads(
+                    net, _take(dataset, idx), joint, True, dtype=np.float32
+                )
                 optimizer.step(net.params, grads, lr)
                 for key in epoch_parts:
                     epoch_parts[key] += parts[key]

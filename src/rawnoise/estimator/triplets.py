@@ -7,8 +7,10 @@ tuple corrupts a third scene (negative).  Scenes are drawn independently
 precisely so the representation cannot key on scene content.
 
 A batch stores its patches at rest as one float32 ``(3, B, 4, H, W)``
-stack in [anchor, positive, negative] order, like NRAW tensors on disk;
-the network's Haar front end upcasts to float64 as it transforms them.
+stack in [anchor, positive, negative] order, like NRAW tensors on disk.
+Training convolves them in float32 as they are; inference and evaluation
+upcast them to float64 as the first convolution copies them into its
+padded buffer.
 """
 
 from __future__ import annotations

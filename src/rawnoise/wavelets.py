@@ -64,20 +64,24 @@ def haar_dwt2(patch: np.ndarray) -> np.ndarray:
 
 
 def haar_idwt2(subbands: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`haar_dwt2`: ``(16, h, w) -> (4, 2h, 2w)``."""
+    """Exact inverse of :func:`haar_dwt2`: ``(..., 16, h, w) -> (..., 4, 2h, 2w)``.
+
+    The transform is orthonormal, so this is also its adjoint:
+    ``<haar_dwt2(x), y> == <x, haar_idwt2(y)>``.
+    """
     subbands = np.asarray(subbands, dtype=np.float64)
-    if subbands.ndim != 3 or subbands.shape[0] != 4 * NUM_CHANNELS:
-        raise ShapeError(f"expected (16, h, w) subbands, got {subbands.shape}")
+    if subbands.ndim < 3 or subbands.shape[-3] != 4 * NUM_CHANNELS:
+        raise ShapeError(f"expected (..., 16, h, w) subbands, got {subbands.shape}")
 
-    ll = subbands[0::4]
-    lh = subbands[1::4]
-    hl = subbands[2::4]
-    hh = subbands[3::4]
+    ll = subbands[..., 0::4, :, :]
+    lh = subbands[..., 1::4, :, :]
+    hl = subbands[..., 2::4, :, :]
+    hh = subbands[..., 3::4, :, :]
 
-    _, h, w = ll.shape
-    patch = np.empty((NUM_CHANNELS, 2 * h, 2 * w), dtype=np.float64)
-    patch[:, 0::2, 0::2] = (ll + lh + hl + hh) / 2.0
-    patch[:, 0::2, 1::2] = (ll - lh + hl - hh) / 2.0
-    patch[:, 1::2, 0::2] = (ll + lh - hl - hh) / 2.0
-    patch[:, 1::2, 1::2] = (ll - lh - hl + hh) / 2.0
+    h, w = subbands.shape[-2:]
+    patch = np.empty((*subbands.shape[:-3], NUM_CHANNELS, 2 * h, 2 * w), dtype=np.float64)
+    patch[..., 0::2, 0::2] = (ll + lh + hl + hh) / 2.0
+    patch[..., 0::2, 1::2] = (ll - lh + hl - hh) / 2.0
+    patch[..., 1::2, 0::2] = (ll + lh - hl - hh) / 2.0
+    patch[..., 1::2, 1::2] = (ll - lh - hl + hh) / 2.0
     return patch

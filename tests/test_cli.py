@@ -197,6 +197,29 @@ class TestGenDatasetAndOracle:
         ) == 2
         assert capsys.readouterr().err.startswith("DOMAIN: ")
 
+    @pytest.mark.parametrize(
+        "mode, flags",
+        [
+            ("flat", ["--levels", "4,1e30", "--params",
+                      '{"K": 1e-10, "sigma": 1.0, "mu_c": 0.0, "sigma_r": 1.0}']),
+            ("dark", ["--params", '{"K": 1.0, "sigma": 1e300, "mu_c": 0.0, "sigma_r": 1.0}']),
+        ],
+        ids=["flat_shot_rate", "dark_float32_overflow"],
+    )
+    def test_refused_run_removes_what_it_wrote(self, tmp_path, capsys, mode, flags):
+        """A run refused after writing some frames leaves the --out directory
+        as it found it: its own files gone, earlier contents untouched."""
+        out = tmp_path / "set"
+        (out / "level_00").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        (out / "level_00" / "own.txt").write_text("kept too")
+        before = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
+        assert run("gen-dataset", "--out", out, "--seed", 1, "--mode", mode, "--count", 2,
+                   "--height", 8, "--width", 8, *flags) == 2
+        assert capsys.readouterr().err.startswith("DOMAIN: ")
+        after = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
+        assert after == before
+
     def test_oracle_holds_one_copy_of_each_frame_set(self, tmp_path):
         """Frames are read as the oracle stacks them: no frame list outlives its stack.
 

@@ -166,6 +166,11 @@ PROBES = {
     "synthesize_float32_overflow": (
         lambda base: _synthesize(base, '{"K": 1, "sigma": 1e300, "mu_c": 0, "sigma_r": 1}'),
         "DOMAIN"),
+    "gen_dataset_shot_rate_out_of_range": (
+        lambda base: ["gen-dataset", "--out", base / "set", "--seed", 1, "--mode", "flat",
+                      "--count", 1, "--levels", "1e30", "--height", 8, "--width", 8,
+                      "--params", '{"K": 1e-10, "sigma": 1, "mu_c": 0, "sigma_r": 1}'],
+        "DOMAIN"),
     "eval_kl_real_nan": (
         lambda base: _eval_kl(base, _nraw_float32(math.nan), "--range", -1, 1), "DOMAIN"),
     "eval_kl_real_inf": (

@@ -80,6 +80,26 @@ class TestInverse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             haar_idwt2(np.zeros((12, 4, 4)))
+        with pytest.raises(ShapeError):
+            haar_idwt2(np.zeros((3, 12, 4, 4)))
+
+    def test_batched_round_trip(self):
+        """A (..., 16, h, w) stack inverts exactly like each subband set alone."""
+        stack = np.random.default_rng(48).normal(size=(3, 2, 16, 3, 5))
+        patches = haar_idwt2(stack)
+        assert patches.shape == (3, 2, 4, 6, 10)
+        assert np.array_equal(patches[1, 0], haar_idwt2(stack[1, 0]))
+        assert np.abs(haar_dwt2(patches) - stack).max() <= 1e-12
+
+    def test_adjoint_identity(self):
+        """<dwt(x), y> = <x, idwt(y)>: the inverse is the transpose, which is
+        what folding the transform into a convolution relies on."""
+        rng = np.random.default_rng(49)
+        x = rng.normal(size=(5, 4, 6, 10))
+        y = rng.normal(size=(5, 16, 3, 5))
+        lhs = float(np.sum(haar_dwt2(x) * y))
+        rhs = float(np.sum(x * haar_idwt2(y)))
+        assert abs(lhs - rhs) <= 1e-12 * np.sqrt(np.sum(x**2) * np.sum(y**2))
 
 
 class TestProperties:

@@ -24,22 +24,10 @@ import numpy as np
 from .errors import ShapeError
 from .noise_core import NUM_CHANNELS
 
-# The operations combining q, r and s into each band, in LL, LH, HL, HH order.
-_BAND_SIGNS = (
-    (np.add, np.add, np.add),
-    (np.subtract, np.add, np.subtract),
-    (np.add, np.subtract, np.subtract),
-    (np.subtract, np.subtract, np.add),
-)
-
 
 def haar_dwt2(patch: np.ndarray) -> np.ndarray:
-    """Forward transform: ``(..., 4, H, W) -> (..., 16, H/2, W/2)``, H and W even.
-
-    The output is float64 for any real input; the upcast happens inside the
-    first add of each band, so a float32 stack is never copied whole.
-    """
-    patch = np.asarray(patch)
+    """Forward transform: ``(..., 4, H, W) -> (..., 16, H/2, W/2)``, H and W even."""
+    patch = np.asarray(patch, dtype=np.float64)
     if patch.ndim < 3 or patch.shape[-3] != NUM_CHANNELS:
         raise ShapeError(f"expected a (..., 4, H, W) patch, got {patch.shape}")
     height, width = patch.shape[-2:]
@@ -52,14 +40,10 @@ def haar_dwt2(patch: np.ndarray) -> np.ndarray:
     s = patch[..., 1::2, 1::2]
 
     out = np.empty((*patch.shape[:-3], 4 * NUM_CHANNELS, height // 2, width // 2))
-    # Each band is ((p +- q) +- r) +- s, then halved, in one contiguous
-    # float64 buffer; adding into the strided output planes directly is slower.
-    for band, (pq, pr, ps) in enumerate(_BAND_SIGNS):
-        plane = pq(p, q, dtype=np.float64)
-        pr(plane, r, out=plane)
-        ps(plane, s, out=plane)
-        plane /= 2.0
-        out[..., band::4, :, :] = plane
+    out[..., 0::4, :, :] = (p + q + r + s) / 2.0
+    out[..., 1::4, :, :] = (p - q + r - s) / 2.0
+    out[..., 2::4, :, :] = (p + q - r - s) / 2.0
+    out[..., 3::4, :, :] = (p - q - r + s) / 2.0
     return out
 
 

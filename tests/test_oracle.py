@@ -183,7 +183,7 @@ class TestEstimatorProperties:
         )
 
     def test_stacks_and_lists_agree(self):
-        """A set given as one float64 stack is used as is and estimates identically."""
+        """A set given as one float64 stack is read as views and estimates identically."""
         params = NoiseParams(K=1.5, sigma=1.0, mu_c=0.4, sigma_r=0.7)
         rng = derive_stream(112, 0)
         series = make_flat_series(params, (5.0, 20.0, 80.0), 3, (4, 16, 16), rng)
@@ -191,8 +191,32 @@ class TestEstimatorProperties:
         stacked = [(level, np.stack(frames)) for level, frames in series]
         dark_stack = np.stack(darks)
 
-        assert _frame_stack(dark_stack, "dark frames") is dark_stack
+        frames = _frame_stack(dark_stack, "dark frames")
+        assert all(np.shares_memory(frame, dark_stack) for frame in frames)
         assert estimate_params_oracle(stacked, dark_stack) == estimate_params_oracle(series, darks)
+
+    def test_reductions_match_stack_wide_numpy(self):
+        """Each per-frame reduction agrees with its stack-wide numpy formula."""
+        rng = np.random.default_rng(113)
+        n, height, width = 6, 16, 12
+        darks = rng.normal(0.7, 2.0, size=(n, 4, height, width))
+        darks += rng.normal(0.0, 1.5, size=(n, 4, height, 1))  # row offsets
+        assert estimate_color_bias(darks) == pytest.approx(darks.mean(), rel=1e-12)
+
+        rows = np.concatenate([darks[:, 0:2].mean((1, 3)), darks[:, 2:4].mean((1, 3))], axis=1)
+        cols = np.concatenate([darks[:, 0::2].mean((1, 2)), darks[:, 1::2].mean((1, 2))], axis=1)
+        v_row = np.var(rows, axis=1, ddof=1).mean()
+        v_col = np.var(cols, axis=1, ddof=1).mean()
+        sigma_r = np.sqrt(v_row - 2 * height * v_col / (2 * width))
+        assert estimate_row_sigma(darks) == pytest.approx(sigma_r, rel=1e-12)
+
+        low = rng.normal(10.0, 3.0, size=(n, 4, 8, 8))
+        high = rng.normal(40.0, 4.0, size=(n, 4, 8, 8))
+        v_low, v_high = np.var(low, ddof=1), np.var(high, ddof=1)
+        slope = (v_high - v_low) / 30.0
+        gain, sigma_total = estimate_gain_and_read([(10.0, low), (40.0, high)])
+        assert gain == pytest.approx(slope, rel=1e-12)
+        assert sigma_total == pytest.approx(np.sqrt(v_low - 10.0 * slope), rel=1e-12)
 
     def test_consistency_under_more_frames(self):
         """Median recovery error shrinks as the frame budget quadruples."""

@@ -8,7 +8,6 @@ patches, and scores synthesis fidelity with histogram KL divergence.
 
 from .calibration import (
     CameraModel,
-    ParamSet,
     fit_iso_gain,
     fit_log_linear,
     sample_params,
@@ -40,7 +39,6 @@ __all__ = [
     "NoiseHistogram",
     "NoiseParams",
     "NoiseSample",
-    "ParamSet",
     "as_patch",
     "build_histogram",
     "derive_stream",

@@ -71,22 +71,6 @@ class CameraModel(Record, error=DomainError, ignore_unknown=True):
             raise DomainError(f"alpha must be positive when present, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class ParamSet:
-    """Per-image parameter estimates: a list of (image id, NoiseParams)."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for image_id, params in self.entries:
-            if not isinstance(params, NoiseParams):
-                raise DomainError(f"entry {image_id!r} is not a NoiseParams tuple")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line y = a*x + b plus the unbiased residual std.
 
@@ -108,20 +92,21 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return a, b, spread
 
 
-def fit_log_linear(params: ParamSet) -> CameraModel:
+def fit_log_linear(params) -> CameraModel:
     """Fit both log-linear noise-level functions from per-image estimates.
 
-    Requires at least two entries with at least two distinct gains.
-    Sigma estimates below ``SIGMA_FLOOR`` (exact zeros, say) are floored
-    there, with a warning, so the logarithm exists.
+    ``params`` is an iterable of NoiseParams, one per image, with at least
+    two distinct gains.  Sigma estimates below ``SIGMA_FLOOR`` (exact
+    zeros, say) are floored there, with a warning, so the logarithm exists.
     """
+    params = list(params)
     if len(params) < 2:
         raise InsufficientDataError(f"need >= 2 parameter tuples to fit, got {len(params)}")
 
-    gains = np.array([p.K for _, p in params.entries], dtype=np.float64)
-    sigmas = np.array([p.sigma for _, p in params.entries], dtype=np.float64)
-    sigma_rs = np.array([p.sigma_r for _, p in params.entries], dtype=np.float64)
-    biases = np.array([p.mu_c for _, p in params.entries], dtype=np.float64)
+    gains = np.array([p.K for p in params], dtype=np.float64)
+    sigmas = np.array([p.sigma for p in params], dtype=np.float64)
+    sigma_rs = np.array([p.sigma_r for p in params], dtype=np.float64)
+    biases = np.array([p.mu_c for p in params], dtype=np.float64)
 
     for name, values in (("sigma", sigmas), ("sigma_r", sigma_rs)):
         floored = values < SIGMA_FLOOR

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, metrics, oracle, synthetic
-from .calibration import CameraModel, ParamSet
+from .calibration import CameraModel
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -37,7 +37,17 @@ from .estimator import (
     estimate as estimate_with_checkpoint,
     train as train_estimator,
 )
-from .io import Manifest, atomic_write_text, load_json, read_tensor, save_json, write_tensor
+from .io import (
+    Manifest,
+    atomic_write_bytes,
+    atomic_write_text,
+    json_text,
+    load_json,
+    read_tensor,
+    save_json,
+    tensor_to_bytes,
+    write_tensor,
+)
 from .noise_core import NoiseParams, synthesize_noise
 from .records import Record
 from .streams import derive_stream
@@ -136,14 +146,13 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     _, rows = _read_estimates(Path(args.estimates))
-    params = ParamSet([(image_id, p) for image_id, p, _ in rows])
-    model = calibration.fit_log_linear(params)
+    model = calibration.fit_log_linear(p for _, p, _ in rows)
     iso_pairs = [(iso, p.K) for _, p, iso in rows if iso is not None]
     if iso_pairs:
         model = replace(model, alpha=calibration.fit_iso_gain(iso_pairs))
     save_json(args.out, model.as_dict())
     print(
-        f"fit over {len(params)} estimates: "
+        f"fit over {len(rows)} estimates: "
         f"a={model.a:.6g} b={model.b:.6g} sigma_hat={model.sigma_hat:.6g} | "
         f"a_r={model.a_r:.6g} b_r={model.b_r:.6g} sigma_r_hat={model.sigma_r_hat:.6g} | "
         f"K in [{model.K_min:.6g}, {model.K_max:.6g}]"
@@ -244,11 +253,25 @@ def _cmd_sample_params(args) -> int:
 # gen-dataset
 
 
+class _NewFiles(list):
+    """The files a command has created; a write onto an existing path raises FileExistsError."""
+
+    def tensor(self, path: Path, array) -> None:
+        self._create(path, tensor_to_bytes(array))
+
+    def json(self, path: Path, record: dict) -> None:
+        self._create(path, json_text(record).encode("utf-8"))
+
+    def _create(self, path: Path, payload: bytes) -> None:
+        atomic_write_bytes(path, payload, exclusive=True)
+        self.append(path)
+
+
 @contextlib.contextmanager
 def _removed_on_failure(dirs):
-    """Yield a list for the paths a command writes under ``dirs``.
+    """Yield a ``_NewFiles`` for the files a command writes under ``dirs``.
 
-    If the command fails, every listed file is deleted, and so is every
+    If the command fails, every file it created is deleted, and so is every
     directory in ``dirs`` or above them that did not exist on entry; other
     files and directories stay as they were.
     """
@@ -257,7 +280,7 @@ def _removed_on_failure(dirs):
         while not directory.exists() and directory not in created:
             created.append(directory)
             directory = directory.parent
-    written: list[Path] = []
+    written = _NewFiles()
     try:
         yield written
     except BaseException:
@@ -270,20 +293,16 @@ def _removed_on_failure(dirs):
 
 
 def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index, written) -> None:
-    """Corrupt ``clean``, write ``<stem>.nraw`` and its ``<stem>.json`` manifest, list both."""
+    """Corrupt ``clean``, write ``<stem>.nraw`` and its ``<stem>.json`` manifest."""
     noisy, _ = synthesize_noise(clean, params, rng)
-    write_tensor(stem.with_suffix(".nraw"), noisy)
-    written.append(stem.with_suffix(".nraw"))
-    Manifest(camera_id=camera_id, params=params, seed=seed, stream_index=index).save(
-        stem.with_suffix(".json")
-    )
-    written.append(stem.with_suffix(".json"))
+    written.tensor(stem.with_suffix(".nraw"), noisy)
+    manifest = Manifest(camera_id=camera_id, params=params, seed=seed, stream_index=index)
+    written.json(stem.with_suffix(".json"), manifest.as_dict())
 
 
 def _write_frames(out: Path, clean, params, args, first_index: int, written) -> None:
     """Write ``clean.nraw`` and ``--count`` noisy frames of it on streams ``first_index + k``."""
-    write_tensor(out / "clean.nraw", clean)
-    written.append(out / "clean.nraw")
+    written.tensor(out / "clean.nraw", clean)
     for k in range(args.count):
         index = first_index + k
         rng = derive_stream(args.seed, index)
@@ -293,7 +312,7 @@ def _write_frames(out: Path, clean, params, args, first_index: int, written) -> 
 
 
 def _cmd_gen_dataset(args) -> int:
-    """Write the dataset tree; a refused run removes every file it wrote."""
+    """Write the dataset tree without replacing any file; a refused run removes what it wrote."""
     for flag in ("count", "height", "width"):
         if getattr(args, flag) < 1:
             raise DomainError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
@@ -333,16 +352,14 @@ def _cmd_gen_dataset(args) -> int:
         dirs = [out / f"level_{j:02d}" for j in range(len(levels))]
 
     with _removed_on_failure(dirs) as written:
-        save_json(out / "dataset.json", header)
-        written.append(out / "dataset.json")
+        written.json(out / "dataset.json", header)
         if args.mode == "train":
             for i in range(args.count):
                 rng = derive_stream(args.seed, i)
                 scene = synthetic.make_scene(rng, args.height, args.width, args.white_level)
                 camera_id, camera = cameras[rng.integers(len(cameras))]
                 params = calibration.sample_params(camera, rng)
-                write_tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
-                written.append(out / "clean" / f"patch_{i:05d}.nraw")
+                written.tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
                 _write_noisy(
                     out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i,
                     written,
@@ -542,6 +559,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"IO_ERROR: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"OUT_OF_MEMORY: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"INTERNAL: {exc}", file=sys.stderr)

@@ -2,11 +2,7 @@
 
 from .checkpoint import EstimatorCheckpoint
 from .config import ConvStage, EstimatorConfig
-from .losses import (
-    contrastive_loss,
-    inverse_param_transform,
-    param_transform_r,
-)
+from .losses import inverse_param_transform, param_transform_r
 from .network import EstimatorNetwork, parameter_shapes
 from .train import (
     backward,
@@ -29,7 +25,6 @@ __all__ = [
     "TripletBatch",
     "augment_triplet",
     "backward",
-    "contrastive_loss",
     "estimate",
     "evaluate_triplets",
     "heldout_weighted_mse",

@@ -63,33 +63,6 @@ def inverse_param_transform(
     )
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine similarity undefined for zero-norm vectors")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def contrastive_loss(z, z_pos, z_negs, tau: float) -> float:
-    """Softmax contrastive loss for one anchor.
-
-    ``-log( exp(cos(z, z+)/tau) / sum exp(cos(z, z~)/tau) )`` where the
-    denominator runs over the positive and every negative.  Computed in a
-    numerically stable log-sum-exp form.
-    """
-    if not tau > 0:
-        raise DomainError(f"temperature must be positive, got {tau}")
-    z = np.asarray(z, dtype=np.float64)
-    cos_pos = cosine_similarity(z, np.asarray(z_pos, dtype=np.float64))
-    deltas = np.array(
-        [(cosine_similarity(z, np.asarray(zn, dtype=np.float64)) - cos_pos) / tau for zn in z_negs],
-        dtype=np.float64,
-    )
-    # loss = log(1 + sum exp(deltas))
-    return float(np.logaddexp.reduce(np.concatenate([[0.0], deltas])))
-
-
 def batch_contrastive(projections: np.ndarray, n_anchors: int, tau: float, want_grad: bool):
     """Mean in-batch contrastive loss over anchors, with optional gradient.
 

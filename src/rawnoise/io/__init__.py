@@ -1,7 +1,7 @@
 """File formats: NRAW tensors, JSON files and manifests, atomic writes."""
 
 from .atomic import atomic_write_bytes, atomic_write_text
-from .jsonfile import load_json, save_json
+from .jsonfile import json_text, load_json, save_json
 from .manifest import MANIFEST_VERSION, Manifest
 from .tensorfile import read_tensor, tensor_from_bytes, tensor_to_bytes, write_tensor
 
@@ -10,6 +10,7 @@ __all__ = [
     "Manifest",
     "atomic_write_bytes",
     "atomic_write_text",
+    "json_text",
     "load_json",
     "read_tensor",
     "save_json",

@@ -7,15 +7,26 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write to a temp file in the target directory, then rename over."""
+def atomic_write_bytes(path: Path, payload: bytes, exclusive: bool = False) -> None:
+    """Write to a temp file in the target directory, then rename over.
+
+    With ``exclusive`` the temp file is hard-linked into place instead, so
+    an existing ``path`` is never replaced: FileExistsError is raised.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
-        os.replace(tmp_name, path)
+        if exclusive:
+            try:
+                os.link(tmp_name, path)
+            except FileExistsError as exc:  # name the target, not the temp file
+                raise FileExistsError(exc.errno, exc.strerror, str(path)) from None
+            os.unlink(tmp_name)
+        else:
+            os.replace(tmp_name, path)
     except BaseException:
         try:
             os.unlink(tmp_name)

@@ -17,6 +17,11 @@ def load_json(source: str | Path, error: type[RawNoiseError], what: str):
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
+def json_text(record: dict) -> str:
+    """``record`` with sorted keys, two-space indent and a final newline."""
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
 def save_json(path, record: dict) -> None:
-    """Write ``record`` atomically with sorted keys, two-space indent and a final newline."""
-    atomic_write_text(Path(path), json.dumps(record, sort_keys=True, indent=2) + "\n")
+    """Write ``json_text(record)`` atomically."""
+    atomic_write_text(Path(path), json_text(record))

@@ -110,21 +110,3 @@ def score_record(
         "samples_q": q.count,
     }
 
-
-def gaussian_reference_histogram(
-    mean: float, std: float, edges: np.ndarray, count: int = 0
-) -> NoiseHistogram:
-    """Histogram of an exact Gaussian over the given edges (tails clipped
-    into the boundary bins), for variance-matched baseline comparisons."""
-    if std <= 0:
-        raise DomainError(f"reference std must be positive, got {std}")
-    z = (np.asarray(edges, dtype=np.float64) - mean) / (std * math.sqrt(2.0))
-    cdf = 0.5 * (1.0 + _erf(z))
-    masses = np.diff(cdf)
-    masses[0] += cdf[0]
-    masses[-1] += 1.0 - cdf[-1]
-    return NoiseHistogram(edges=np.asarray(edges, dtype=np.float64), masses=masses, count=count)
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    return np.vectorize(math.erf)(x)

@@ -36,15 +36,23 @@ GAIN_FLOOR = 1e-12
 MIN_PACKED_WIDTH = 8  # 16 physical columns
 
 
-def _frame_stack(frames, what: str, at_least: int = 1) -> list[np.ndarray]:
+class _FrameSet(list):
+    """A frame list that ``_frame_stack`` has validated."""
+
+
+def _frame_stack(frames, what: str, at_least: int = 1) -> _FrameSet:
     """One frame set, any iterable of packed frames, as a validated list of float64 frames.
 
     This is the one place a frame set is gathered; an iterable is consumed
     once, and the frames of a float64 ``(n, 4, H, W)`` stack are its views.
-    Raises InsufficientDataError below ``at_least`` frames, ShapeError for
-    mixed or unpacked shapes, and DomainError for non-finite values.
+    A list this function returned is handed back as it is, so a set is
+    checked once however many estimators read it.  Raises
+    InsufficientDataError below ``at_least`` frames, ShapeError for mixed
+    or unpacked shapes, and DomainError for non-finite values.
     """
-    frames = [np.asarray(f, dtype=np.float64) for f in frames]
+    if isinstance(frames, _FrameSet) and len(frames) >= at_least:
+        return frames
+    frames = _FrameSet(np.asarray(f, dtype=np.float64) for f in frames)
     shapes = {f.shape for f in frames}
     if len(shapes) > 1:
         raise ShapeError(f"{what} differ in shape: {sorted(shapes)}")

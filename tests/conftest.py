@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from scipy import stats
 
 from rawnoise import synthetic
 from rawnoise.estimator import (
@@ -13,9 +17,37 @@ from rawnoise.estimator import (
     make_triplet_batch,
     train,
 )
+from rawnoise.metrics import NoiseHistogram
 from rawnoise.streams import derive_stream
 
 TOY_SEED = 11
+
+
+def naive_contrastive(z, n_anchors: int, tau: float) -> float:
+    """The mean contrastive loss by naive summation over rows ``[anchors, positives, negatives]``.
+
+    Anchor i's loss is ``-log(exp(cos(z_i, z_{B+i})/tau) / sum_j exp(cos(z_i, z_j)/tau))``,
+    the sum running over every row j but i itself.
+    """
+
+    def cos(u, v):
+        return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+    losses = []
+    for i in range(n_anchors):
+        num = math.exp(cos(z[i], z[n_anchors + i]) / tau)
+        den = sum(math.exp(cos(z[i], z[j]) / tau) for j in range(len(z)) if j != i)
+        losses.append(-math.log(num / den))
+    return sum(losses) / n_anchors
+
+
+def gaussian_histogram(mean: float, std: float, edges, count: int = 0) -> NoiseHistogram:
+    """Bin masses of an exact Gaussian over ``edges``, from scipy's CDF, tails in the edge bins."""
+    cdf = stats.norm.cdf(edges, loc=mean, scale=std)
+    masses = np.diff(cdf)
+    masses[0] += cdf[0]
+    masses[-1] += 1.0 - cdf[-1]
+    return NoiseHistogram(edges=np.asarray(edges, dtype=np.float64), masses=masses, count=count)
 
 
 def toy_config() -> EstimatorConfig:

@@ -10,10 +10,11 @@ import time
 
 import numpy as np
 import pytest
+from conftest import gaussian_histogram
 from scipy import stats
 
 from rawnoise import synthetic
-from rawnoise.calibration import CameraModel, ParamSet, fit_log_linear, sample_params
+from rawnoise.calibration import CameraModel, fit_log_linear, sample_params
 from rawnoise.cli import main as cli_main
 from rawnoise.estimator import (
     ConvStage,
@@ -29,12 +30,7 @@ from rawnoise.estimator import (
 )
 from rawnoise.estimator.network import DETAIL_GAIN, parameter_shapes
 from rawnoise.io import write_tensor
-from rawnoise.metrics import (
-    build_histogram,
-    default_range,
-    gaussian_reference_histogram,
-    kl_divergence,
-)
+from rawnoise.metrics import build_histogram, default_range, kl_divergence
 from rawnoise.noise_core import NoiseParams, sample_read, sample_row, sample_shot, synthesize_noise
 from rawnoise.oracle import estimate_params_oracle
 from rawnoise.streams import derive_stream
@@ -133,12 +129,8 @@ class TestAcceptance:
             sigmas = rng.uniform(0.1, 9.0, size=n)
             sigma_rs = rng.uniform(0.05, 5.0, size=n)
             model = fit_log_linear(
-                ParamSet(
-                    [
-                        (str(i), NoiseParams(K=gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i]))
-                        for i in range(n)
-                    ]
-                )
+                NoiseParams(K=gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i])
+                for i in range(n)
             )
             a, b = oracle(np.log(gains), np.log(sigmas))
             a_r, b_r = oracle(np.log(gains), np.log(sigma_rs))
@@ -146,12 +138,7 @@ class TestAcceptance:
             ok &= abs(model.a_r - a_r) <= 1e-9 and abs(model.b_r - b_r) <= 1e-9
 
         exact = fit_log_linear(
-            ParamSet(
-                [
-                    (str(i), NoiseParams(K=k, sigma=2.0 * k, mu_c=0.0, sigma_r=2.0 * k))
-                    for i, k in enumerate((0.5, 1.0, 2.0, 4.0))
-                ]
-            )
+            NoiseParams(K=k, sigma=2.0 * k, mu_c=0.0, sigma_r=2.0 * k) for k in (0.5, 1.0, 2.0, 4.0)
         )
         ok &= abs(exact.a - 1.0) <= 1e-12 and abs(exact.b - math.log(2.0)) <= 1e-12
         ok &= exact.sigma_hat <= 1e-12
@@ -297,8 +284,8 @@ class TestAcceptance:
             params = sample_params(camera, rng)
             scene = scenes[rng.integers(len(scenes))]
             noisy, _ = synthesize_noise(scene, params, rng)
-            entries.append((f"img_{i:03d}", estimate(noisy, toy_run["checkpoint"])))
-        refit = fit_log_linear(ParamSet(entries))
+            entries.append(estimate(noisy, toy_run["checkpoint"]))
+        refit = fit_log_linear(entries)
         delta = abs(refit.a - camera.a)
         ok = refit.a > 0.0 and delta <= 0.3
         report(9, "neural estimates recover camera slope", ok, f"a={refit.a:.3f} vs {camera.a}")
@@ -332,7 +319,7 @@ class TestAcceptance:
         hist_real = build_histogram(real, bins=256, value_range=value_range)
         hist_matched = build_histogram(matched, bins=256, value_range=value_range)
         variance = params.K * level + params.sigma**2 + params.sigma_r**2
-        hist_gauss = gaussian_reference_histogram(
+        hist_gauss = gaussian_histogram(
             params.mu_c, math.sqrt(variance), hist_real.edges, count=real.size
         )
         kl_matched = kl_divergence(hist_real, hist_matched)

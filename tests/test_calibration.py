@@ -8,7 +8,6 @@ from scipy import stats
 
 from rawnoise.calibration import (
     CameraModel,
-    ParamSet,
     fit_iso_gain,
     fit_log_linear,
     sample_params,
@@ -23,15 +22,9 @@ from rawnoise.errors import (
 from rawnoise.noise_core import NoiseParams
 
 
-def _param_set(points, sigma_r_points=None, mu_c=0.0):
-    """Build a ParamSet from (K, sigma) pairs; sigma_r defaults to sigma."""
-    entries = []
-    for i, (k, sigma) in enumerate(points):
-        sigma_r = sigma if sigma_r_points is None else sigma_r_points[i][1]
-        entries.append(
-            (f"img_{i:03d}", NoiseParams(K=k, sigma=sigma, mu_c=mu_c, sigma_r=sigma_r))
-        )
-    return ParamSet(entries)
+def _param_set(points, mu_c=0.0):
+    """NoiseParams tuples from (K, sigma) pairs, with sigma_r = sigma."""
+    return [NoiseParams(K=k, sigma=sigma, mu_c=mu_c, sigma_r=sigma) for k, sigma in points]
 
 
 def _ols_oracle(x, y):
@@ -73,10 +66,10 @@ class TestFitLogLinear:
             sigmas = rng.uniform(0.2, 8.0, size=n)
             sigma_rs = rng.uniform(0.1, 4.0, size=n)
             entries = [
-                (str(i), NoiseParams(K=gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i]))
+                NoiseParams(K=gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i])
                 for i in range(n)
             ]
-            model = fit_log_linear(ParamSet(entries))
+            model = fit_log_linear(entries)
             a, b, spread = _ols_oracle(np.log(gains), np.log(sigmas))
             a_r, b_r, spread_r = _ols_oracle(np.log(gains), np.log(sigma_rs))
             assert abs(model.a - a) <= 1e-9
@@ -93,8 +86,8 @@ class TestFitLogLinear:
             K_min=0.2, K_max=6.0, mu_c_model=0.1,
         )
         rng = np.random.default_rng(51)
-        entries = [(str(i), sample_params(camera, rng)) for i in range(200)]
-        assert fit_log_linear(ParamSet(entries)).a > 0.0
+        entries = [sample_params(camera, rng) for _ in range(200)]
+        assert fit_log_linear(entries).a > 0.0
 
     def test_errors(self):
         with pytest.raises(InsufficientDataError):
@@ -111,10 +104,10 @@ class TestFitLogLinear:
 
     def test_mu_c_model_is_mean(self):
         entries = [
-            ("a", NoiseParams(K=1.0, sigma=1.0, mu_c=-1.0, sigma_r=1.0)),
-            ("b", NoiseParams(K=2.0, sigma=2.0, mu_c=2.0, sigma_r=2.0)),
+            NoiseParams(K=1.0, sigma=1.0, mu_c=-1.0, sigma_r=1.0),
+            NoiseParams(K=2.0, sigma=2.0, mu_c=2.0, sigma_r=2.0),
         ]
-        assert fit_log_linear(ParamSet(entries)).mu_c_model == 0.5
+        assert fit_log_linear(entries).mu_c_model == 0.5
 
 
 class TestSampleParams:
@@ -233,8 +226,7 @@ class TestModelInvariants:
             K_min=0.3, K_max=5.0, mu_c_model=0.0,
         )
         rng = np.random.default_rng(60)
-        entries = [(str(i), sample_params(model, rng)) for i in range(100)]
-        refit = fit_log_linear(ParamSet(entries))
+        refit = fit_log_linear(sample_params(model, rng) for _ in range(100))
         assert abs(refit.a - 0.65) <= 1e-9
         assert abs(refit.b - 0.12) <= 1e-9
         assert abs(refit.a_r - 0.45) <= 1e-9
@@ -247,24 +239,13 @@ class TestModelInvariants:
         sigmas = rng.uniform(0.5, 5.0, size=20)
         sigma_rs = rng.uniform(0.2, 2.0, size=20)
         base = fit_log_linear(
-            ParamSet(
-                [
-                    (str(i), NoiseParams(K=gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i]))
-                    for i in range(20)
-                ]
-            )
+            NoiseParams(K=gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i])
+            for i in range(20)
         )
         c = 3.7
         scaled = fit_log_linear(
-            ParamSet(
-                [
-                    (
-                        str(i),
-                        NoiseParams(K=c * gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i]),
-                    )
-                    for i in range(20)
-                ]
-            )
+            NoiseParams(K=c * gains[i], sigma=sigmas[i], mu_c=0.0, sigma_r=sigma_rs[i])
+            for i in range(20)
         )
         assert abs(scaled.a - base.a) <= 1e-9
         assert abs(scaled.b - (base.b - base.a * math.log(c))) <= 1e-9
@@ -276,9 +257,9 @@ class TestModelInvariants:
             K_min=0.25, K_max=8.0, mu_c_model=0.3,
         )
         rng = np.random.default_rng(62)
-        entries = [(str(i), sample_params(model, rng)) for i in range(10**4)]
-        refit = fit_log_linear(ParamSet(entries))
-        log_k = np.log([p.K for _, p in entries])
+        entries = [sample_params(model, rng) for _ in range(10**4)]
+        refit = fit_log_linear(entries)
+        log_k = np.log([p.K for p in entries])
         s_xx = float(np.sum((log_k - log_k.mean()) ** 2))
         for true_slope, true_icpt, slope, icpt, spread in (
             (0.7, 0.15, refit.a, refit.b, 0.12),

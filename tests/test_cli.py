@@ -220,6 +220,27 @@ class TestGenDatasetAndOracle:
         after = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
         assert after == before
 
+    def test_refused_rerun_keeps_the_first_tree(self, tmp_path, capsys):
+        """gen-dataset never replaces a file: a rerun into the same --out is
+        refused with IO_ERROR, and the first run's tree stays byte-identical."""
+        camera = tmp_path / "camera.json"
+        out = tmp_path / "set"
+        camera.write_text(json.dumps({
+            "a": 0.7, "b": 0.1, "a_r": 0.5, "b_r": -0.2, "sigma_hat": 0.1, "sigma_r_hat": 0.1,
+            "K_min": 0.25, "K_max": 8.0, "mu_c_model": 0.0,
+        }))
+        train = ["gen-dataset", "--out", out, "--seed", 1, "--mode", "train", "--count", 3,
+                 "--height", 8, "--width", 8, "--camera", camera]
+        assert run(*train) == 0
+        before = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
+        # this camera's gain makes the shot rate refused (DOMAIN) once a patch is drawn
+        camera.write_text(json.dumps({**json.loads(camera.read_text()),
+                                      "K_min": 1e-20, "K_max": 1e-20}))
+        assert run(*train) == 2
+        assert capsys.readouterr().err.startswith("IO_ERROR: ")
+        after = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
+        assert after == before
+
     def test_oracle_holds_one_copy_of_each_frame_set(self, tmp_path):
         """Frames are read as the oracle reduces them: no set is copied into a stack.
 
@@ -384,6 +405,27 @@ class TestEvalKL:
         write_tensor(b, rng.normal(0.5, 1.8, size=(4, 64, 64)))
         assert run("eval-kl", "--real", a, "--synth", b, "--bins", 64) == 0
         assert json.loads(capsys.readouterr().out)["kl"] > 0.01
+
+
+class TestOutOfMemory:
+    """A size whose arrays cannot be allocated gives a coded exit 2.
+
+    The sizes ask for petabytes, beyond any address space, so numpy refuses
+    them at once and nothing is ever allocated.
+    """
+
+    def test_eval_kl_bins(self, tmp_path, capsys):
+        path = tmp_path / "samples.nraw"
+        write_tensor(path, np.random.default_rng(6).normal(size=(4, 8, 8)))
+        assert run("eval-kl", "--real", path, "--synth", path, "--bins", 10**15) == 2
+        assert capsys.readouterr().err.startswith("OUT_OF_MEMORY: ")
+
+    def test_gen_dataset_frame_size(self, tmp_path, capsys):
+        out = tmp_path / "set"
+        assert run("gen-dataset", "--out", out, "--seed", 1, "--mode", "dark", "--count", 1,
+                   "--params", PARAMS_JSON, "--height", 10**7, "--width", 10**7) == 2
+        assert capsys.readouterr().err.startswith("OUT_OF_MEMORY: ")
+        assert not out.exists()
 
 
 class TestTrainCommand:

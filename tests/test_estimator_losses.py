@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import naive_contrastive
 
 from rawnoise.errors import DomainError
 from rawnoise.estimator.losses import (
     batch_contrastive,
     batch_regression,
-    contrastive_loss,
     inverse_param_transform,
     param_transform_r,
 )
@@ -54,51 +54,45 @@ def _unit(theta):
     return np.array([math.cos(theta), math.sin(theta)])
 
 
+def _one_anchor(z, z_pos, negs, tau):
+    """The in-batch loss of one anchor: rows [z, z_pos, *negs], every row but z competing."""
+    loss, _ = batch_contrastive(np.array([z, z_pos, *negs]), 1, tau, want_grad=False)
+    return loss
+
+
 class TestContrastiveLoss:
     def test_two_term_softmax(self):
         """cos+ = 1 against one orthogonal negative at tau=1: log(1+e^-1)."""
         z = _unit(0.0)
-        loss = contrastive_loss(z, z, [_unit(math.pi / 2)], tau=1.0)
+        loss = _one_anchor(z, z, [_unit(math.pi / 2)], tau=1.0)
         assert loss == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-12)
 
     def test_symmetric_pair_gives_log2(self):
         z = _unit(0.0)
         other = _unit(0.7)
-        assert contrastive_loss(z, other, [other], tau=0.37) == pytest.approx(
-            math.log(2.0), abs=1e-12
-        )
+        assert _one_anchor(z, other, [other], tau=0.37) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_direct_formula(self):
-        """Seven negatives at tau=0.1 agree with naive summation to 1e-10."""
+        """Three anchors, seven negatives each, at tau=0.1 agree with naive summation to 1e-10."""
         rng = np.random.default_rng(81)
-        z = rng.normal(size=16)
-        z_pos = rng.normal(size=16)
-        negs = [rng.normal(size=16) for _ in range(7)]
-
-        def cos(u, v):
-            return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-
-        tau = 0.1
-        num = math.exp(cos(z, z_pos) / tau)
-        den = num + sum(math.exp(cos(z, zn) / tau) for zn in negs)
-        assert contrastive_loss(z, z_pos, negs, tau) == pytest.approx(
-            -math.log(num / den), abs=1e-10
-        )
+        z = rng.normal(size=(9, 16))
+        loss, _ = batch_contrastive(z, 3, tau=0.1, want_grad=False)
+        assert loss == pytest.approx(naive_contrastive(z, 3, 0.1), abs=1e-10)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DomainError):
-            contrastive_loss(np.zeros(4), np.ones(4), [np.ones(4)], tau=0.1)
+            _one_anchor(np.zeros(4), np.ones(4), [np.ones(4)], tau=0.1)
         with pytest.raises(DomainError):
-            contrastive_loss(np.ones(4), np.ones(4), [np.zeros(4)], tau=0.1)
+            _one_anchor(np.ones(4), np.ones(4), [np.zeros(4)], tau=0.1)
 
     def test_positive_and_limit_behavior(self):
         """loss > 0 always; -> 0 as cos+ -> 1 and cos- -> -1 at fixed tau."""
         rng = np.random.default_rng(82)
         for _ in range(100):
             z = rng.normal(size=8)
-            loss = contrastive_loss(z, rng.normal(size=8), [rng.normal(size=8)], tau=0.5)
+            loss = _one_anchor(z, rng.normal(size=8), [rng.normal(size=8)], tau=0.5)
             assert loss > 0.0
-        near_limit = contrastive_loss(_unit(0.0), _unit(0.0), [-_unit(0.0)], tau=0.1)
+        near_limit = _one_anchor(_unit(0.0), _unit(0.0), [-_unit(0.0)], tau=0.1)
         assert near_limit == pytest.approx(math.log(1.0 + math.exp(-20.0)), rel=1e-9)
         assert near_limit < 1e-8
 
@@ -108,15 +102,15 @@ class TestContrastiveLoss:
         for _ in range(100):
             thetas = np.sort(rng.uniform(0.0, math.pi, size=2))
             neg = _unit(rng.uniform(0.0, 2 * math.pi))
-            lo = contrastive_loss(_unit(0.0), _unit(thetas[0]), [neg], tau=0.3)
-            hi = contrastive_loss(_unit(0.0), _unit(thetas[1]), [neg], tau=0.3)
+            lo = _one_anchor(_unit(0.0), _unit(thetas[0]), [neg], tau=0.3)
+            hi = _one_anchor(_unit(0.0), _unit(thetas[1]), [neg], tau=0.3)
             assert lo < hi  # smaller angle = larger cos+ = smaller loss
 
 
 class TestBatchLosses:
     def test_batch_matches_per_anchor_composition(self):
-        """The vectorized in-batch loss equals per-anchor contrastive_loss
-        with every other projection serving as a negative."""
+        """The in-batch loss is the mean of one-anchor losses with every
+        other projection serving as a negative."""
         rng = np.random.default_rng(84)
         n = 5
         z = rng.normal(size=(3 * n, 8))
@@ -124,7 +118,7 @@ class TestBatchLosses:
         per_anchor = []
         for i in range(n):
             negs = [z[j] for j in range(3 * n) if j not in (i, n + i)]
-            per_anchor.append(contrastive_loss(z[i], z[n + i], negs, tau=0.1))
+            per_anchor.append(_one_anchor(z[i], z[n + i], negs, tau=0.1))
         assert loss == pytest.approx(float(np.mean(per_anchor)), abs=1e-10)
 
     def test_stationary_points(self):

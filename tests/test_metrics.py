@@ -4,16 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gaussian_histogram
 from scipy import stats
 
 from rawnoise.errors import DomainError, InsufficientDataError, ShapeError
-from rawnoise.metrics import (
-    build_histogram,
-    default_range,
-    gaussian_reference_histogram,
-    kl_divergence,
-    score_record,
-)
+from rawnoise.metrics import build_histogram, default_range, kl_divergence, score_record
 from rawnoise.noise_core import NoiseParams, synthesize_noise
 from rawnoise.streams import derive_stream
 
@@ -129,7 +124,7 @@ class TestSynthesisDiscrimination:
         q_matched = build_histogram(matched, bins=256, value_range=value_range)
 
         total_var = params.K * level + params.sigma**2 + params.sigma_r**2
-        q_gauss = gaussian_reference_histogram(
+        q_gauss = gaussian_histogram(
             params.mu_c, math.sqrt(total_var), p.edges, count=real.size
         )
 

@@ -166,6 +166,24 @@ class TestComposedOracle:
         est = self._round_trip(params, 109)
         assert est.K > 0.0 and est.sigma >= 0.0 and est.sigma_r >= 0.0
 
+    def test_each_dark_frame_checked_once(self, monkeypatch):
+        """One call checks each dark frame for finiteness once, although the
+        bias and the row estimators both read the dark set."""
+        params = NoiseParams(K=1.0, sigma=2.0, mu_c=0.5, sigma_r=0.8)
+        rng = derive_stream(110, 0)
+        series = make_flat_series(params, (10.0, 40.0), 2, (4, 16, 16), rng)
+        darks = make_dark_frames(params, 3, (4, 16, 16), rng)
+        checked = []
+        isfinite = np.isfinite
+
+        def counting_isfinite(x, *args, **kwargs):
+            checked.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        estimate_params_oracle(series, darks)
+        assert [sum(x is frame for x in checked) for frame in darks] == [1, 1, 1]
+
 
 class TestEstimatorProperties:
     def test_order_independence(self):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import toy_config
+from conftest import naive_contrastive, toy_config
 
 from rawnoise import synthetic
 from rawnoise.errors import ConfigurationError
@@ -15,7 +15,6 @@ from rawnoise.estimator import (
     EstimatorCheckpoint,
     EstimatorNetwork,
     backward,
-    contrastive_loss,
     make_triplet_batch,
     param_transform_r,
     total_loss,
@@ -130,13 +129,10 @@ class TestTotalLossOps:
         _, z, r, _ = net.forward_batch(batch.patches.reshape(-1, 4, 8, 8).astype(np.float64))
         n = len(batch)
         mse = 0.0
-        contrastive = 0.0
         for i in range(n):
             target = param_transform_r(batch.anchor_params[i], config.param_weights)
             mse += float(np.sum((r[i] - target) ** 2))
-            negs = [z[j] for j in range(3 * n) if j not in (i, n + i)]
-            contrastive += contrastive_loss(z[i], z[n + i], negs, config.tau)
-        expected = mse / n + config.tau_loss * contrastive / n
+        expected = mse / n + config.tau_loss * naive_contrastive(z, n, config.tau)
         assert total_loss(batch, checkpoint) == pytest.approx(expected, abs=1e-10)
 
     def test_zero_mix_weight_reduces_to_regression(self):

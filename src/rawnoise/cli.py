@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -37,17 +39,7 @@ from .estimator import (
     estimate as estimate_with_checkpoint,
     train as train_estimator,
 )
-from .io import (
-    Manifest,
-    atomic_write_bytes,
-    atomic_write_text,
-    json_text,
-    load_json,
-    read_tensor,
-    save_json,
-    tensor_to_bytes,
-    write_tensor,
-)
+from .io import Manifest, atomic_write_text, load_json, read_tensor, save_json, write_tensor
 from .noise_core import NoiseParams, synthesize_noise
 from .records import Record
 from .streams import derive_stream
@@ -121,6 +113,8 @@ def _read_estimates(path: Path) -> tuple[list[str], list[tuple[str, NoiseParams,
 
 
 def _cmd_synthesize(args) -> int:
+    if Path(args.out).suffix == ".json":  # the manifest path, with_suffix(".json"), is --out
+        raise ConfigurationError(f"--out {args.out} would be replaced by its own manifest")
     clean = read_tensor(args.clean)
     params = _load_params_arg(args.params)
     rng = derive_stream(args.seed, args.stream_index)
@@ -257,13 +251,15 @@ class _NewFiles(list):
     """The files a command has created; a write onto an existing path raises FileExistsError."""
 
     def tensor(self, path: Path, array) -> None:
-        self._create(path, tensor_to_bytes(array))
+        write_tensor(path, array, exclusive=True)
+        self.append(path)
 
     def json(self, path: Path, record: dict) -> None:
-        self._create(path, json_text(record).encode("utf-8"))
+        save_json(path, record, exclusive=True)
+        self.append(path)
 
-    def _create(self, path: Path, payload: bytes) -> None:
-        atomic_write_bytes(path, payload, exclusive=True)
+    def manifest(self, path: Path, manifest: Manifest) -> None:
+        manifest.save(path, exclusive=True)
         self.append(path)
 
 
@@ -297,7 +293,7 @@ def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index, written
     noisy, _ = synthesize_noise(clean, params, rng)
     written.tensor(stem.with_suffix(".nraw"), noisy)
     manifest = Manifest(camera_id=camera_id, params=params, seed=seed, stream_index=index)
-    written.json(stem.with_suffix(".json"), manifest.as_dict())
+    written.manifest(stem.with_suffix(".json"), manifest)
 
 
 def _write_frames(out: Path, clean, params, args, first_index: int, written) -> None:
@@ -329,7 +325,12 @@ def _cmd_gen_dataset(args) -> int:
     if args.mode == "train":
         if not args.camera:
             raise ConfigurationError("train mode needs at least one --camera")
-        cameras = [(Path(p).stem, _load_camera(p)) for p in args.camera]
+        ids = [Path(p).stem for p in args.camera]
+        if len(set(ids)) < len(ids):
+            raise ConfigurationError(
+                f"--camera file stems name the cameras and must differ, got {', '.join(ids)}"
+            )
+        cameras = [(name, _load_camera(p)) for name, p in zip(ids, args.camera)]
         header["cameras"] = {name: model.as_dict() for name, model in cameras}
         dirs = [out / "clean", out / "noisy"]
     else:
@@ -452,6 +453,12 @@ def _cmd_train(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Any negative decimal literal is a value, not an option: argparse's
+        # own pattern misses exponent forms such as -1e3.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         print(f"USAGE: {message}", file=sys.stderr)
         raise SystemExit(2)
@@ -479,7 +486,14 @@ def _white_level(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call.
+
+    Reuse is safe: each parse fills a fresh namespace and leaves the parser
+    unchanged.  Each subcommand's handler is bound when the parser is first
+    built, so replacing a ``_cmd_*`` function afterwards does not reach it.
+    """
     parser = _Parser(prog="rawnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -87,8 +87,8 @@ def tensor_from_bytes(raw: bytes) -> np.ndarray:
     return tensor
 
 
-def write_tensor(path, array: np.ndarray) -> None:
-    atomic_write_bytes(Path(path), tensor_to_bytes(array))
+def write_tensor(path, array: np.ndarray, exclusive: bool = False) -> None:
+    atomic_write_bytes(Path(path), tensor_to_bytes(array), exclusive)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior: formats, determinism, error codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rawnoise.cli import main
+from rawnoise import synthetic
+from rawnoise.cli import build_parser, main
 from rawnoise.estimator import ConvStage, EstimatorConfig, EstimatorNetwork, EstimatorCheckpoint
 from rawnoise.io import Manifest, read_tensor, write_tensor
 
@@ -67,6 +72,14 @@ class TestSynthesize:
         ) == 0
         noisy = read_tensor(out)
         assert noisy.min() >= 0.0 and noisy.max() <= 1023.0
+
+    def test_out_that_is_its_own_manifest_path_refused(self, tmp_path, clean_file, capsys):
+        """The manifest goes to --out with a .json suffix, so --out x.json would
+        have its noisy tensor replaced by the manifest."""
+        assert run("synthesize", "--clean", clean_file, "--params", PARAMS_JSON,
+                   "--seed", 1, "--out", tmp_path / "x.json") == 2
+        assert capsys.readouterr().err.startswith("CONFIG: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.nraw"]
 
 
 class TestCalibrate:
@@ -149,6 +162,15 @@ class TestSampleParams:
         assert not out.exists()
         assert not (tmp_path / "params.csv.provenance.json").exists()
 
+    def test_negative_exponent_iso_reaches_the_domain_check(self, tmp_path, capsys):
+        camera = self._camera(tmp_path)
+        camera.write_text(json.dumps({**json.loads(camera.read_text()), "alpha": 0.01}))
+        out = tmp_path / "params.csv"
+        assert run("sample-params", "--camera", camera, "--count", 2, "--seed", 1,
+                   "--out", out, "--iso", "-1e3") == 2
+        assert capsys.readouterr().err.startswith("DOMAIN: ")
+        assert not out.exists()
+
     def test_sample_then_calibrate_round_trip(self, tmp_path):
         camera = self._camera(tmp_path, k_min=0.25, k_max=8.0)
         out = tmp_path / "params.csv"
@@ -219,6 +241,21 @@ class TestGenDatasetAndOracle:
         assert capsys.readouterr().err.startswith("DOMAIN: ")
         after = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
         assert after == before
+
+    def test_cameras_sharing_a_file_stem_refused(self, tmp_path, capsys):
+        """The file stem is the camera id, so two cameras named cam.json would be
+        merged into one id in dataset.json and every manifest."""
+        bank = synthetic.default_camera_bank()
+        cameras = []
+        for folder, model in (("a", bank[0]), ("b", bank[2])):
+            (tmp_path / folder).mkdir()
+            cameras += ["--camera", tmp_path / folder / "cam.json"]
+            cameras[-1].write_text(json.dumps(model.as_dict()))
+        out = tmp_path / "set"
+        assert run("gen-dataset", "--out", out, "--seed", 3, "--mode", "train", "--count", 6,
+                   "--height", 8, "--width", 8, *cameras) == 2
+        assert capsys.readouterr().err.startswith("CONFIG: ")
+        assert not out.exists()
 
     def test_refused_rerun_keeps_the_first_tree(self, tmp_path, capsys):
         """gen-dataset never replaces a file: a rerun into the same --out is
@@ -406,6 +443,21 @@ class TestEvalKL:
         assert run("eval-kl", "--real", a, "--synth", b, "--bins", 64) == 0
         assert json.loads(capsys.readouterr().out)["kl"] > 0.01
 
+    @pytest.mark.parametrize("lo, hi", [("-1e3", "1e3"), ("-1e-3", "1e-3"), ("-.5E+1", "5")])
+    def test_exponent_range(self, tmp_path, capsys, lo, hi):
+        path = tmp_path / "samples.nraw"
+        write_tensor(path, np.random.default_rng(7).normal(0, 1e-3, size=(4, 8, 8)))
+        assert run("eval-kl", "--real", path, "--synth", path, "--range", lo, hi) == 0
+        assert json.loads(capsys.readouterr().out)["range"] == [float(lo), float(hi)]
+
+    def test_range_needs_two_values(self, tmp_path, capsys):
+        path = tmp_path / "samples.nraw"
+        write_tensor(path, np.zeros((4, 8, 8)))
+        with pytest.raises(SystemExit) as exc:
+            run("eval-kl", "--real", path, "--synth", path, "--range", "-1e3")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("USAGE: ")
+
 
 class TestOutOfMemory:
     """A size whose arrays cannot be allocated gives a coded exit 2.
@@ -488,3 +540,65 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("CONFIG:") and "train_triplets" in err
         assert not (tmp_path / "model.nest").exists()
+
+
+class TestSharedParser:
+    """main() builds the parser once per process; no call leaks into the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_appended_cameras_not_carried_over(self):
+        flags = ["gen-dataset", "--out", "set", "--seed", "1", "--count", "1"]
+        parser = build_parser()
+        assert parser.parse_args([*flags, "--camera", "a.json", "--camera", "b.json"]).camera == [
+            "a.json", "b.json"
+        ]
+        assert parser.parse_args(flags).camera is None
+
+    def test_usage_failure_then_valid_call(self, tmp_path, capsys):
+        path = tmp_path / "samples.nraw"
+        write_tensor(path, np.random.default_rng(4).normal(0, 2, size=(4, 16, 16)))
+        with pytest.raises(SystemExit) as exc:
+            run("eval-kl", "--real", path, "--synth", path, "--bins", "many")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("USAGE: ")
+        assert run("eval-kl", "--real", path, "--synth", path, "--bins", 32) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["bins"] == 32 and record["kl"] <= 1e-9
+
+    def test_back_to_back_commands_match_fresh_processes(self, tmp_path, capsys):
+        """gen-dataset then eval-kl in this process write the same bytes as each
+        run alone in a new interpreter."""
+
+        def commands(root):
+            out = root / "set"
+            return [
+                ["gen-dataset", "--out", out, "--seed", 5, "--mode", "dark", "--count", 2,
+                 "--params", PARAMS_JSON, "--height", 8, "--width", 8],
+                ["eval-kl", "--real", out / "noisy_0000.nraw", "--synth", out / "noisy_0001.nraw",
+                 "--clean", out / "clean.nraw", "--bins", 16],
+            ]
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        shared = []
+        for argv in commands(tmp_path / "shared"):
+            assert run(*argv) == 0
+            shared.append(capsys.readouterr().out)
+
+        src = str(Path(synthetic.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = []
+        for argv in commands(tmp_path / "fresh"):
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from rawnoise.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *map(str, argv)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            fresh.append(done.stdout)
+
+        assert shared == fresh and json.loads(shared[1])["bins"] == 16
+        assert tree(tmp_path / "shared") == tree(tmp_path / "fresh")

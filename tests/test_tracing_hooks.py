@@ -1,19 +1,22 @@
-"""The benchmark's per-layer hooks still reach the estimator and oracle layers they time.
+"""The benchmark's per-layer hooks still reach the estimator, oracle and io layers they time.
 
 ``bench/tracing.py`` wraps functions at the place the program looks them up.
 A hook whose name a refactor removed is only reported as absent, and its
-layer then reads 0, so a rename in the network, the training loop or the
-oracle would silently zero the per-layer metrics.  This test reads
-``bench/`` and changes nothing there.
+layer then reads 0, so a rename in the network, the training loop, the
+oracle or the write path would silently zero the per-layer metrics.  This
+test reads ``bench/`` and changes nothing there.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rawnoise import oracle, synthetic
+from rawnoise.cli import main
 from rawnoise.estimator import ConvStage, EstimatorConfig, train
 from rawnoise.streams import derive_stream
 
@@ -85,3 +88,29 @@ def test_oracle_hooks_resolve_and_record_one_call_each():
         layer: 1 for layer, *_ in hooks
     }
     assert params.K > 0
+
+
+def test_io_hooks_record_the_gen_dataset_writes(tmp_path):
+    """Each patch of a train-mode run is two tensors and one manifest,
+    written through the names the io hooks wrap."""
+    tracing = _load_tracing()
+    hooks = [hook for hook in tracing.HOOKS if str(hook[0]).startswith("io.")]
+    assert hooks
+
+    camera = tmp_path / "camera.json"
+    camera.write_text(json.dumps(synthetic.default_camera_bank()[1].as_dict()))
+    tracer = tracing.Tracer()
+    tracer.install(hooks)
+    try:
+        status = main(["gen-dataset", "--out", str(tmp_path / "set"), "--seed", "1",
+                       "--mode", "train", "--count", "3", "--height", "8", "--width", "8",
+                       "--camera", str(camera)])
+    finally:
+        tracer.uninstall()
+
+    assert status == 0
+    assert tracer.absent == []
+    assert tracer.broken_counters == set()
+    assert tracer.stats["io.write_tensor"].calls == 6
+    assert tracer.stats["io.write_tensor"].counts["mb"] == pytest.approx(6 * 4 * 4 * 8 * 8 / 1e6)
+    assert tracer.stats["io.manifest_save"].calls == 3

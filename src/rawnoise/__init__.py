@@ -17,6 +17,7 @@ from .metrics import NoiseHistogram, build_histogram, kl_divergence
 from .noise_core import (
     NoiseParams,
     NoiseSample,
+    add_noise,
     as_patch,
     sample_read,
     sample_row,
@@ -39,6 +40,7 @@ __all__ = [
     "NoiseHistogram",
     "NoiseParams",
     "NoiseSample",
+    "add_noise",
     "as_patch",
     "build_histogram",
     "derive_stream",

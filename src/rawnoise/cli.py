@@ -15,10 +15,13 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
+import os
 import re
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,7 +43,7 @@ from .estimator import (
     train as train_estimator,
 )
 from .io import Manifest, atomic_write_text, load_json, read_tensor, save_json, write_tensor
-from .noise_core import NoiseParams, synthesize_noise
+from .noise_core import NoiseParams, add_noise
 from .records import Record
 from .streams import derive_stream
 
@@ -118,7 +121,7 @@ def _cmd_synthesize(args) -> int:
     clean = read_tensor(args.clean)
     params = _load_params_arg(args.params)
     rng = derive_stream(args.seed, args.stream_index)
-    noisy, _ = synthesize_noise(clean, params, rng)
+    noisy = add_noise(clean, params, rng)
     extensions = {}
     if args.clamp:
         noisy = np.clip(noisy, 0.0, args.white_level)
@@ -248,19 +251,29 @@ def _cmd_sample_params(args) -> int:
 
 
 class _NewFiles(list):
-    """The files a command has created; a write onto an existing path raises FileExistsError."""
+    """The files a command has created; a write onto an existing path raises FileExistsError.
+
+    Writes from several threads take turns: one file is written at a time.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
 
     def tensor(self, path: Path, array) -> None:
-        write_tensor(path, array, exclusive=True)
-        self.append(path)
+        with self._lock:
+            write_tensor(path, array, exclusive=True)
+            self.append(path)
 
     def json(self, path: Path, record: dict) -> None:
-        save_json(path, record, exclusive=True)
-        self.append(path)
+        with self._lock:
+            save_json(path, record, exclusive=True)
+            self.append(path)
 
     def manifest(self, path: Path, manifest: Manifest) -> None:
-        manifest.save(path, exclusive=True)
-        self.append(path)
+        with self._lock:
+            manifest.save(path, exclusive=True)
+            self.append(path)
 
 
 @contextlib.contextmanager
@@ -288,27 +301,60 @@ def _removed_on_failure(dirs):
         raise
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _run_units(count: int, unit) -> None:
+    """Call ``unit(i)`` for every ``i < count`` on this thread and one helper per further CPU.
+
+    Threads claim indices from one counter, in ascending order.  After the
+    first failure no thread claims another index; once all have stopped, the
+    error of the lowest failing index is raised, so a failure reads as it
+    would in a serial loop.  Units must be independent of each other.
+    """
+    claims = itertools.count()
+    failures = {}
+
+    def work():
+        while not failures:
+            i = next(claims)
+            if i >= count:
+                return
+            try:
+                unit(i)
+            except BaseException as exc:
+                failures[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_cpu_count(), count) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index, written) -> None:
     """Corrupt ``clean``, write ``<stem>.nraw`` and its ``<stem>.json`` manifest."""
-    noisy, _ = synthesize_noise(clean, params, rng)
-    written.tensor(stem.with_suffix(".nraw"), noisy)
+    written.tensor(stem.with_suffix(".nraw"), add_noise(clean, params, rng))
     manifest = Manifest(camera_id=camera_id, params=params, seed=seed, stream_index=index)
     written.manifest(stem.with_suffix(".json"), manifest)
 
 
-def _write_frames(out: Path, clean, params, args, first_index: int, written) -> None:
-    """Write ``clean.nraw`` and ``--count`` noisy frames of it on streams ``first_index + k``."""
-    written.tensor(out / "clean.nraw", clean)
-    for k in range(args.count):
-        index = first_index + k
-        rng = derive_stream(args.seed, index)
-        _write_noisy(
-            out / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed, index, written
-        )
-
-
 def _cmd_gen_dataset(args) -> int:
-    """Write the dataset tree without replacing any file; a refused run removes what it wrote."""
+    """Write the dataset tree without replacing any file; a refused run removes what it wrote.
+
+    Patches, and frames, are drawn on streams of their own, so they are
+    generated in parallel (see ``_run_units``) with the bytes of a serial run.
+    """
     for flag in ("count", "height", "width"):
         if getattr(args, flag) < 1:
             raise DomainError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
@@ -338,7 +384,7 @@ def _cmd_gen_dataset(args) -> int:
         if params is None:
             raise ConfigurationError(f"{args.mode} mode needs --params")
         header["params"] = params.as_dict()
-        shape = (4, args.height, args.width)
+        levels = [0.0]  # dark mode: zero illumination
         dirs = [out]
     if args.mode == "flat":
         try:
@@ -352,25 +398,37 @@ def _cmd_gen_dataset(args) -> int:
         header["levels"] = levels
         dirs = [out / f"level_{j:02d}" for j in range(len(levels))]
 
+    def patch(i):
+        rng = derive_stream(args.seed, i)
+        scene = synthetic.make_scene(rng, args.height, args.width, args.white_level)
+        camera_id, camera = cameras[rng.integers(len(cameras))]
+        params = calibration.sample_params(camera, rng)
+        written.tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
+        _write_noisy(
+            out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i, written
+        )
+
+    def frame(unit):
+        # Each level is one clean.nraw, then --count noisy frames on streams
+        # j * count + k, so level j's files are units j * (count + 1) onward.
+        j, k = divmod(unit, args.count + 1)
+        clean = np.broadcast_to(levels[j], (4, args.height, args.width))
+        if k == 0:
+            written.tensor(dirs[j] / "clean.nraw", clean)
+        else:
+            index = j * args.count + k - 1
+            rng = derive_stream(args.seed, index)
+            _write_noisy(
+                dirs[j] / f"noisy_{k - 1:04d}", clean, params, rng, args.camera_id, args.seed,
+                index, written,
+            )
+
     with _removed_on_failure(dirs) as written:
         written.json(out / "dataset.json", header)
         if args.mode == "train":
-            for i in range(args.count):
-                rng = derive_stream(args.seed, i)
-                scene = synthetic.make_scene(rng, args.height, args.width, args.white_level)
-                camera_id, camera = cameras[rng.integers(len(cameras))]
-                params = calibration.sample_params(camera, rng)
-                written.tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
-                _write_noisy(
-                    out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i,
-                    written,
-                )
-        elif args.mode == "flat":
-            for j, level in enumerate(levels):
-                clean = np.full(shape, level)
-                _write_frames(out / f"level_{j:02d}", clean, params, args, j * args.count, written)
-        else:  # dark mode: zero illumination
-            _write_frames(out, np.zeros(shape), params, args, 0, written)
+            _run_units(args.count, patch)
+        else:
+            _run_units(len(levels) * (args.count + 1), frame)
     return 0
 
 
@@ -486,6 +544,13 @@ def _white_level(text: str) -> float:
     return value
 
 
+def _out_path(text: str) -> str:
+    """argparse type of every --out and --append: a non-empty path."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every ``main`` call.
@@ -502,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="NoiseParams JSON file or inline object")
     p.add_argument("--seed", type=_stream_int, required=True)
     p.add_argument("--stream-index", type=_stream_int, default=0, help="per-patch stream index")
-    p.add_argument("--out", required=True, help="noisy NRAW output")
+    p.add_argument("--out", type=_out_path, required=True, help="noisy NRAW output")
     p.add_argument("--clamp", action="store_true", help="clamp output to [0, white level]")
     p.add_argument("--white-level", type=_white_level, default=synthetic.DEFAULT_WHITE_LEVEL)
     p.add_argument("--camera-id", default="unknown")
@@ -510,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit a camera model from per-image estimates")
     p.add_argument("--estimates", required=True, help="CSV: image_id,K,sigma,mu_c,sigma_r[,iso]")
-    p.add_argument("--out", required=True, help="camera model JSON output")
+    p.add_argument("--out", type=_out_path, required=True, help="camera model JSON output")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("estimate", help="estimate noise parameters for one image")
@@ -519,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="statistical mode from frame sets")
     p.add_argument("--flat-series", help="directory of level_*/ flat frames (oracle mode)")
     p.add_argument("--dark", help="directory of dark frames (oracle mode)")
-    p.add_argument("--out", required=True, help="NoiseParams JSON output")
-    p.add_argument("--append", help="also append a row to this estimates CSV")
+    p.add_argument("--out", type=_out_path, required=True, help="NoiseParams JSON output")
+    p.add_argument("--append", type=_out_path, help="also append a row to this estimates CSV")
     p.add_argument("--image-id", default="image")
     p.set_defaults(func=_cmd_estimate)
 
@@ -528,12 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", required=True, help="camera model JSON")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=_stream_int, required=True)
-    p.add_argument("--out", required=True, help="CSV output")
+    p.add_argument("--out", type=_out_path, required=True, help="CSV output")
     p.add_argument("--iso", type=float, help="pin the gain via the fitted ISO slope")
     p.set_defaults(func=_cmd_sample_params)
 
     p = sub.add_parser("gen-dataset", help="produce clean/noisy tensor trees with manifests")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out_path, required=True, help="output directory")
     p.add_argument("--seed", type=_stream_int, required=True)
     p.add_argument("--mode", choices=("train", "flat", "dark"), default="train")
     p.add_argument("--count", type=int, required=True, help="patches (train) or frames per level")

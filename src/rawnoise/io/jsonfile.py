@@ -24,4 +24,4 @@ def json_text(record: dict) -> str:
 
 def save_json(path, record: dict, exclusive: bool = False) -> None:
     """Write ``json_text(record)`` atomically; ``exclusive`` as in atomic_write_bytes."""
-    atomic_write_bytes(Path(path), json_text(record).encode("utf-8"), exclusive)
+    atomic_write_bytes(Path(path), json_text(record).encode("utf-8"), exclusive=exclusive)

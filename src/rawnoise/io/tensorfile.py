@@ -33,10 +33,14 @@ FORMAT_VERSION = 1
 DTYPE_F32 = 1
 
 
+def _record_head(array: np.ndarray) -> bytes:
+    return struct.pack(f"<{array.ndim + 1}I", array.ndim, *array.shape)
+
+
 def pack_tensor(array: np.ndarray, dtype: str) -> bytes:
     """Encode ``array`` as one tensor record with a ``dtype`` payload."""
     array = np.ascontiguousarray(array, dtype=dtype)
-    return struct.pack(f"<{array.ndim + 1}I", array.ndim, *array.shape) + array.tobytes()
+    return _record_head(array) + array.tobytes()
 
 
 def unpack_tensor(
@@ -64,13 +68,21 @@ def unpack_tensor(
     return tensor.astype(np.float64), end
 
 
-def tensor_to_bytes(array: np.ndarray) -> bytes:
-    """Encode ``array`` as an NRAW file; DomainError if a value is not a finite float32."""
+def _nraw_chunks(array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """An NRAW file as its header and its float32 payload array.
+
+    DomainError if a value is not a finite float32.
+    """
     with np.errstate(over="ignore"):  # an overflowing cast is refused just below
-        payload = np.asarray(array, dtype="<f4")
+        payload = np.ascontiguousarray(array, dtype="<f4")
     if not np.all(np.isfinite(payload)):
         raise DomainError("tensor holds a value that is not finite as float32; NRAW cannot hold it")
-    return MAGIC + struct.pack("<II", FORMAT_VERSION, DTYPE_F32) + pack_tensor(payload, "<f4")
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, DTYPE_F32) + _record_head(payload), payload
+
+
+def tensor_to_bytes(array: np.ndarray) -> bytes:
+    """Encode ``array`` as an NRAW file; DomainError if a value is not a finite float32."""
+    return b"".join(_nraw_chunks(array))
 
 
 def tensor_from_bytes(raw: bytes) -> np.ndarray:
@@ -88,7 +100,8 @@ def tensor_from_bytes(raw: bytes) -> np.ndarray:
 
 
 def write_tensor(path, array: np.ndarray, exclusive: bool = False) -> None:
-    atomic_write_bytes(Path(path), tensor_to_bytes(array), exclusive)
+    """Write ``array`` as an NRAW file, straight from its float32 payload."""
+    atomic_write_bytes(Path(path), *_nraw_chunks(array), exclusive=exclusive)
 
 
 def read_tensor(path) -> np.ndarray:

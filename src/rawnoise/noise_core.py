@@ -107,7 +107,10 @@ def sample_shot(clean: np.ndarray, K: float, rng: np.random.Generator) -> np.nda
         counts = rng.poisson(clean / K)
     except ValueError as exc:
         raise DomainError(f"shot-noise rate clean / K is out of range (K={K}): {exc}") from exc
-    return K * counts.astype(np.float64) - clean
+    shot = counts.astype(np.float64)
+    shot *= K
+    shot -= clean
+    return shot
 
 
 def sample_read(shape, mu_c: float, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -158,3 +161,18 @@ def synthesize_noise(
     total = shot + row + read
     noisy = clean + total
     return noisy, NoiseSample(shot=shot, row=row, read=read, total=total)
+
+
+def add_noise(clean: np.ndarray, params: NoiseParams, rng: np.random.Generator) -> np.ndarray:
+    """The noisy patch of :func:`synthesize_noise`, bit for bit, without its parts.
+
+    The same draws leave ``rng`` in the same state; the parts are summed in
+    place into the shot array in the same order, and ``clean`` is added
+    last, which is the same IEEE sum because addition commutes.
+    """
+    clean = as_patch(clean)
+    noisy = sample_shot(clean, params.K, rng)
+    noisy += sample_row(clean.shape, params.sigma_r, rng)
+    noisy += sample_read(clean.shape, params.mu_c, params.sigma, rng)
+    noisy += clean
+    return noisy

@@ -57,24 +57,43 @@ def make_scene(
             base[:, y0:y1, x0:x1] = rng.uniform(0.0, 1.0)
     else:  # smooth random field; binomial blur kills pixel-scale texture
         base = rng.uniform(0.0, 1.0, size=shape)
+        spare = np.empty(shape)
         for _ in range(4):
             for axis in (1, 2):
-                base = (
-                    2.0 * base + np.roll(base, 1, axis=axis) + np.roll(base, -1, axis=axis)
-                ) / 4.0
+                _blur(base, spare, axis)
+                base, spare = spare, base
 
     # Per-channel gains mimic white balance without changing structure.
     gains = rng.uniform(0.6, 1.0, size=(NUM_CHANNELS, 1, 1))
-    base = base * gains
+    base *= gains
 
     lo_frac = 0.0 if rng.uniform() < 1.0 / 3.0 else rng.uniform(0.0, 0.3)
     hi_frac = rng.uniform(lo_frac + 0.1, 1.0)
-    span = base.max() - base.min()
+    low = base.min()
+    span = base.max() - low
     if span == 0.0:
-        normalized = np.full(shape, (lo_frac + hi_frac) / 2.0)
+        base.fill((lo_frac + hi_frac) / 2.0)
     else:
-        normalized = lo_frac + (base - base.min()) / span * (hi_frac - lo_frac)
-    return normalized * white_level
+        base -= low
+        base /= span
+        base *= hi_frac - lo_frac
+        base += lo_frac
+    base *= white_level
+    return base
+
+
+def _blur(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """``dst = (2 src + roll(src, 1) + roll(src, -1)) / 4`` along ``axis``, summed in that order.
+
+    The rolls are slice adds, so no shifted copy of ``src`` is made.
+    """
+    src, dst = np.swapaxes(src, 0, axis), np.swapaxes(dst, 0, axis)
+    np.multiply(src, 2.0, out=dst)
+    dst[1:] += src[:-1]
+    dst[:1] += src[-1:]
+    dst[:-1] += src[1:]
+    dst[-1:] += src[:1]
+    dst /= 4.0
 
 
 def make_scene_pool(

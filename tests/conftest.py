@@ -50,6 +50,43 @@ def gaussian_histogram(mean: float, std: float, edges, count: int = 0) -> NoiseH
     return NoiseHistogram(edges=np.asarray(edges, dtype=np.float64), masses=masses, count=count)
 
 
+def roll_scene(rng, height: int, width: int, white_level: float, kind: str) -> np.ndarray:
+    """``synthetic.make_scene`` as first written: the blur sums ``np.roll`` copies.
+
+    The oracle for the in-place version, which must give the same bits.
+    """
+    shape = (4, height, width)
+    if kind == "flat":
+        base = np.full(shape, 0.5)
+    elif kind == "gradient":
+        yy = np.linspace(0.0, 1.0, height)[None, :, None]
+        xx = np.linspace(0.0, 1.0, width)[None, None, :]
+        wy, wx = rng.uniform(-1.0, 1.0, size=2)
+        base = np.broadcast_to(wy * yy + wx * xx, shape).copy()
+    elif kind == "rectangles":
+        base = np.full(shape, rng.uniform(0.0, 1.0))
+        for _ in range(int(rng.integers(2, 7))):
+            y0, y1 = np.sort(rng.integers(0, height + 1, size=2))
+            x0, x1 = np.sort(rng.integers(0, width + 1, size=2))
+            base[:, y0:y1, x0:x1] = rng.uniform(0.0, 1.0)
+    else:
+        base = rng.uniform(0.0, 1.0, size=shape)
+        for _ in range(4):
+            for axis in (1, 2):
+                base = (
+                    2.0 * base + np.roll(base, 1, axis=axis) + np.roll(base, -1, axis=axis)
+                ) / 4.0
+    base = base * rng.uniform(0.6, 1.0, size=(4, 1, 1))
+    lo_frac = 0.0 if rng.uniform() < 1.0 / 3.0 else rng.uniform(0.0, 0.3)
+    hi_frac = rng.uniform(lo_frac + 0.1, 1.0)
+    span = base.max() - base.min()
+    if span == 0.0:
+        normalized = np.full(shape, (lo_frac + hi_frac) / 2.0)
+    else:
+        normalized = lo_frac + (base - base.min()) / span * (hi_frac - lo_frac)
+    return normalized * white_level
+
+
 def toy_config() -> EstimatorConfig:
     """Desk-scale training setup: ~44k parameters, 2000 triplets, 30+30 epochs."""
     return EstimatorConfig(

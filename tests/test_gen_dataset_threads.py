@@ -1,0 +1,212 @@
+"""gen-dataset on several threads: the bytes, errors and clean-up of a serial run."""
+
+import hashlib
+import itertools
+import json
+import sys
+import threading
+
+import pytest
+
+from rawnoise import cli, synthetic
+from rawnoise.cli import main
+
+PARAMS = '{"K": 1.5, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
+MODES = {
+    "train": ["--mode", "train", "--seed", 21, "--count", 7, "--height", 12, "--width", 10],
+    "flat": ["--mode", "flat", "--seed", 22, "--count", 3, "--levels", "0,5,40",
+             "--height", 6, "--width", 5, "--params", PARAMS],
+    "dark": ["--mode", "dark", "--seed", 23, "--count", 5, "--height", 7, "--width", 9,
+             "--params", PARAMS],
+}
+# Tree digests of MODES (train with the default bank as low/mid/high.json),
+# pinned from a one-thread gen-dataset: any thread count must write these bytes.
+PINNED = {
+    "train": "87ed21492eaea17c72a60eb7566652cea597c35f8898e75eb09e380efb4421bb",
+    "flat": "a86739567ee58ee4ed07c27ef39ced7f19400982925ebebdd36467c7128fef2c",
+    "dark": "3310e056bb62ea8de0d5f5d40f0fe420a9c5b20918fe5d2b8e6f1a5ea2d79fe5",
+}
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def _tree_digest(root) -> str:
+    """sha256 over every file's relative path and sha256, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def _tree(root) -> dict:
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+def _bank_flags(base) -> list:
+    flags = []
+    for name, model in zip(("low", "mid", "high"), synthetic.default_camera_bank()):
+        path = base / f"{name}.json"
+        path.write_text(json.dumps(model.as_dict()))
+        flags += ["--camera", path]
+    return flags
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set the CPU count gen-dataset sees."""
+    return lambda n: monkeypatch.setattr(cli, "_cpu_count", lambda: n)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_tree_bytes_do_not_depend_on_the_thread_count(tmp_path, cpus, mode):
+    extra = _bank_flags(tmp_path) if mode == "train" else []
+    for n in (1, 2, 4):
+        cpus(n)
+        out = tmp_path / f"{mode}_{n}"
+        assert run("gen-dataset", "--out", out, *MODES[mode], *extra) == 0
+        assert _tree_digest(out) == PINNED[mode], n
+
+
+def test_one_cpu_starts_no_thread(tmp_path, cpus, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    cpus(1)
+    monkeypatch.setattr(cli.threading, "Thread", no_thread)
+    assert run("gen-dataset", "--out", tmp_path / "set", *MODES["dark"]) == 0
+    assert _tree_digest(tmp_path / "set") == PINNED["dark"]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_units_run_on_n_threads_at_once(cpus, n):
+    """Each unit waits until n units are in flight, which needs n threads."""
+    cpus(n)
+    barrier = threading.Barrier(n, timeout=30)
+    idents = set()
+
+    def unit(i):
+        idents.add(threading.get_ident())
+        barrier.wait()
+
+    cli._run_units(2 * n, unit)
+    assert len(idents) == n
+
+
+def test_stress_more_threads_than_cpus(tmp_path, cpus):
+    """8 threads switching every microsecond: every unit runs exactly once, and
+    every file is written and listed once (a lost claim or list update breaks both)."""
+    cpus(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ran = []
+        cli._run_units(3000, ran.append)
+        assert sorted(ran) == list(range(3000))
+        argv = ["gen-dataset", "--mode", "dark", "--seed", 23, "--count", 60,
+                "--height", 4, "--width", 4, "--params", PARAMS]
+        assert run(*argv, "--out", tmp_path / "threads") == 0
+        written = cli._NewFiles()
+        cli._run_units(200, lambda i: written.json(tmp_path / "listed" / f"{i}.json", {}))
+        assert sorted(written) == sorted((tmp_path / "listed").iterdir())
+    finally:
+        sys.setswitchinterval(interval)
+    cpus(1)
+    assert run(*argv, "--out", tmp_path / "serial") == 0
+    assert _tree_digest(tmp_path / "threads") == _tree_digest(tmp_path / "serial")
+
+
+def test_the_lowest_failing_index_is_raised_and_claims_stop(cpus):
+    cpus(4)
+    ran = set()
+    lock = threading.Lock()
+
+    def unit(i):
+        with lock:
+            ran.add(i)
+        if i in (3, 5):
+            raise ValueError(i)
+
+    for _ in range(50):
+        ran.clear()
+        with pytest.raises(ValueError) as caught:
+            cli._run_units(1000, unit)
+        assert caught.value.args == (3,)
+        assert {0, 1, 2, 3} <= ran
+        assert len(ran) < 20
+
+
+def test_a_claimed_unit_runs_after_a_later_unit_failed(cpus, monkeypatch):
+    """Index 1 is handed out only once unit 2 has failed; unit 1 still runs,
+    so its error, not unit 2's, is raised."""
+    cpus(2)
+    unit_2_failed = threading.Event()
+    count = itertools.count
+
+    class SlowClaims:
+        def __init__(self):
+            self.claims = count()
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            i = next(self.claims)
+            if i == 1:
+                unit_2_failed.wait(timeout=30)
+            return i
+
+    def unit(i):
+        if i in (1, 2):
+            if i == 2:
+                unit_2_failed.set()
+            raise ValueError(i)
+
+    monkeypatch.setattr(cli.itertools, "count", SlowClaims)
+    with pytest.raises(ValueError) as caught:
+        cli._run_units(6, unit)
+    assert caught.value.args == (1,)
+
+
+def test_existing_targets_refused_as_in_a_serial_run(tmp_path, cpus, capsys):
+    """Two targets already present: the run names the lower one, patch 2,
+    and leaves the tree as it found it, whichever thread got there first."""
+    cpus(4)
+    bank = _bank_flags(tmp_path)
+    out = tmp_path / "set"
+    (out / "noisy").mkdir(parents=True)
+    (out / "noisy" / "patch_00002.json").write_text("kept")
+    (out / "noisy" / "patch_00005.nraw").write_text("kept too")
+    before = _tree(out)
+    argv = ["gen-dataset", "--out", out, "--mode", "train", "--seed", 4, "--count", 12,
+            "--height", 16, "--width", 16, *bank]
+    for _ in range(20):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("IO_ERROR: ") and "patch_00002.json" in err, err
+        assert _tree(out) == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize(
+    "mode, flags",
+    [
+        ("flat", ["--levels", "4,1e30", "--params",
+                  '{"K": 1e-10, "sigma": 1.0, "mu_c": 0.0, "sigma_r": 1.0}']),
+        ("dark", ["--params", '{"K": 1.0, "sigma": 1e300, "mu_c": 0.0, "sigma_r": 1.0}']),
+    ],
+    ids=["flat_shot_rate", "dark_float32_overflow"],
+)
+def test_refused_run_removes_what_it_wrote(tmp_path, cpus, capsys, n, mode, flags):
+    cpus(n)
+    out = tmp_path / "set"
+    (out / "level_00").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept")
+    before = _tree(out)
+    assert run("gen-dataset", "--out", out, "--seed", 1, "--mode", mode, "--count", 6,
+               "--height", 8, "--width", 8, *flags) == 2
+    assert capsys.readouterr().err.startswith("DOMAIN: ")
+    assert _tree(out) == before

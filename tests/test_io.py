@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 from rawnoise.errors import BadManifestError, BadTensorFileError, DomainError
 from rawnoise.io import (
     Manifest,
+    atomic_write_bytes,
+    atomic_write_text,
     load_json,
     read_tensor,
     save_json,
@@ -113,3 +117,45 @@ class TestManifest:
         path.write_text("{not json")
         with pytest.raises(BadManifestError, match="^manifest is not valid JSON"):
             Manifest.load(path)
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestAtomicWrite:
+    @pytest.fixture()
+    def umask_022(self):
+        previous = os.umask(0o022)
+        try:
+            yield
+        finally:
+            os.umask(previous)
+
+    def test_new_files_honour_the_umask(self, tmp_path, umask_022):
+        write_tensor(tmp_path / "t.nraw", np.zeros((4, 2, 2)))
+        save_json(tmp_path / "new.json", {"a": 1}, exclusive=True)
+        atomic_write_text(tmp_path / "rows.csv", "a,b\n")
+        assert [_mode(tmp_path / name) for name in ("t.nraw", "new.json", "rows.csv")] == [
+            0o644, 0o644, 0o644]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o664, 0o755])
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path, umask_022, mode):
+        path = tmp_path / "estimates.csv"
+        path.write_text("old\n")
+        path.chmod(mode)
+        atomic_write_text(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert _mode(path) == mode
+
+    def test_chunks_written_in_order_and_no_temp_file_left(self, tmp_path):
+        atomic_write_bytes(tmp_path / "f.bin", b"ab", memoryview(b"cd"), np.arange(2, dtype="<u1"))
+        assert (tmp_path / "f.bin").read_bytes() == b"abcd\x00\x01"
+        with pytest.raises(FileExistsError, match="f.bin"):
+            atomic_write_bytes(tmp_path / "f.bin", b"x", exclusive=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin"]
+
+    def test_write_tensor_writes_the_bytes_of_tensor_to_bytes(self, tmp_path):
+        array = np.arange(60.0).reshape(4, 5, 3).transpose(0, 2, 1) / 7
+        write_tensor(tmp_path / "t.nraw", array)
+        assert (tmp_path / "t.nraw").read_bytes() == tensor_to_bytes(array)

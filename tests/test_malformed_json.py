@@ -124,6 +124,13 @@ FLAG_PROBES = {
         ["gen-dataset", "--mode", "train", "--white-level", "nan"], "USAGE"),
     "gen_dataset_levels_nan": (["gen-dataset", "--mode", "flat", "--levels", "nan,4"], "DOMAIN"),
     "gen_dataset_levels_inf": (["gen-dataset", "--mode", "flat", "--levels", "inf,4"], "DOMAIN"),
+    # An empty path would name the working directory or a file in it.
+    "synthesize_out_empty": (["synthesize", "--out", ""], "USAGE"),
+    "gen_dataset_out_empty": (["gen-dataset", "--mode", "train", "--out", ""], "USAGE"),
+    "calibrate_out_empty": (["calibrate", "--out", ""], "USAGE"),
+    "estimate_out_empty": (["estimate", "--out", ""], "USAGE"),
+    "estimate_append_empty": (["estimate", "--append", ""], "USAGE"),
+    "sample_params_out_empty": (["sample-params", "--out", ""], "USAGE"),
 }
 
 
@@ -138,17 +145,23 @@ def test_malformed_record_is_coded_exit_2(tmp_path, capsys, monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", sorted(FLAG_PROBES))
-def test_bad_flag_is_coded_exit_2_before_writing(tmp_path, capsys, case):
+def test_bad_flag_is_coded_exit_2_before_writing(tmp_path, capsys, monkeypatch, case):
     flags, code = FLAG_PROBES[case]
     (tmp_path / "camera.json").write_text(json.dumps(CAMERA))
     write_tensor(tmp_path / "clean.nraw", np.full((4, 8, 8), 50.0))
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
+    params = json.dumps(PARAMS)
+    # A command line that parses; the probe's flags follow it, so they win.
     common = {
-        "synthesize": ["--clean", tmp_path / "clean.nraw", "--out", out],
+        "synthesize": ["--clean", "clean.nraw", "--out", out, "--params", params, "--seed", 1],
         "gen-dataset": ["--out", out, "--count", 1, "--height", 8, "--width", 8,
-                        "--camera", tmp_path / "camera.json"],
+                        "--camera", "camera.json", "--params", params, "--seed", 1],
+        "calibrate": ["--estimates", "estimates.csv", "--out", out],
+        "estimate": ["--input", "clean.nraw", "--checkpoint", "estimator.nest", "--out", out],
+        "sample-params": ["--camera", "camera.json", "--count", 1, "--seed", 1, "--out", out],
     }[flags[0]]
-    argv = [*flags, *common, "--params", json.dumps(PARAMS), "--seed", 1]
+    argv = [flags[0], *common, *flags[1:]]
     assert _status(argv) == 2
     assert capsys.readouterr().err.startswith(f"{code}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["camera.json", "clean.nraw"]

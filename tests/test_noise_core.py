@@ -9,6 +9,7 @@ from scipy import stats
 from rawnoise.errors import DomainError, ShapeError
 from rawnoise.noise_core import (
     NoiseParams,
+    add_noise,
     as_patch,
     sample_read,
     sample_row,
@@ -263,3 +264,26 @@ class TestModelInvariants:
             assert np.array_equal(serial[i], shuffled[i])
         rerun = synthesize_noise(clean, params, derive_stream(77, 3))[0]
         assert np.array_equal(serial[3], rerun)
+
+
+class TestAddNoise:
+    """``add_noise`` is the noisy patch of ``synthesize_noise`` without its parts."""
+
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (4, 3, 5), (4, 64, 48)])
+    @pytest.mark.parametrize("K", [0.08, 8.0])
+    def test_same_bytes_and_stream_state(self, shape, K):
+        clean = np.random.default_rng(3).uniform(0.0, 900.0, size=shape)
+        clean.flat[:: 2] = 0.0  # black pixels draw no shot noise
+        params = NoiseParams(K=K, sigma=2.5, mu_c=-0.7, sigma_r=1.3)
+        rng, rng2 = derive_stream(41, 2), derive_stream(41, 2)
+        noisy = add_noise(clean, params, rng)
+        reference, _ = synthesize_noise(clean, params, rng2)
+        assert noisy.tobytes() == reference.tobytes()
+        assert rng.random(8).tobytes() == rng2.random(8).tobytes()
+
+    def test_domain_errors_as_synthesize_noise(self):
+        params = NoiseParams(K=1.0, sigma=1.0, mu_c=0.0, sigma_r=0.0)
+        with pytest.raises(DomainError):
+            add_noise(np.full((4, 2, 2), -5.0), params, np.random.default_rng(17))
+        with pytest.raises(ShapeError):
+            add_noise(np.zeros((3, 2, 2)), params, np.random.default_rng(17))

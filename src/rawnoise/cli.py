@@ -15,10 +15,8 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import json
 import math
-import os
 import re
 import sys
 import threading
@@ -44,6 +42,7 @@ from .estimator import (
 )
 from .io import Manifest, atomic_write_text, load_json, read_tensor, save_json, write_tensor
 from .noise_core import NoiseParams, add_noise
+from .parallel import run_units
 from .records import Record
 from .streams import derive_stream
 
@@ -301,47 +300,6 @@ def _removed_on_failure(dirs):
         raise
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _run_units(count: int, unit) -> None:
-    """Call ``unit(i)`` for every ``i < count`` on this thread and one helper per further CPU.
-
-    Threads claim indices from one counter, in ascending order.  After the
-    first failure no thread claims another index; once all have stopped, the
-    error of the lowest failing index is raised, so a failure reads as it
-    would in a serial loop.  Units must be independent of each other.
-    """
-    claims = itertools.count()
-    failures = {}
-
-    def work():
-        while not failures:
-            i = next(claims)
-            if i >= count:
-                return
-            try:
-                unit(i)
-            except BaseException as exc:
-                failures[i] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(min(_cpu_count(), count) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
-
-
 def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index, written) -> None:
     """Corrupt ``clean``, write ``<stem>.nraw`` and its ``<stem>.json`` manifest."""
     written.tensor(stem.with_suffix(".nraw"), add_noise(clean, params, rng))
@@ -353,7 +311,7 @@ def _cmd_gen_dataset(args) -> int:
     """Write the dataset tree without replacing any file; a refused run removes what it wrote.
 
     Patches, and frames, are drawn on streams of their own, so they are
-    generated in parallel (see ``_run_units``) with the bytes of a serial run.
+    generated in parallel (see ``parallel.run_units``) with the bytes of a serial run.
     """
     for flag in ("count", "height", "width"):
         if getattr(args, flag) < 1:
@@ -426,9 +384,9 @@ def _cmd_gen_dataset(args) -> int:
     with _removed_on_failure(dirs) as written:
         written.json(out / "dataset.json", header)
         if args.mode == "train":
-            _run_units(args.count, patch)
+            run_units(args.count, patch)
         else:
-            _run_units(len(levels) * (args.count + 1), frame)
+            run_units(len(levels) * (args.count + 1), frame)
     return 0
 
 

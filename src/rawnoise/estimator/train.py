@@ -8,7 +8,9 @@ first-moment coefficient 0.9, and the step size is divided by
 ``decay_factor`` every ``decay_epochs`` epochs within each stage.
 
 Runs are fully reproducible: the parameter init, the triplet dataset, and
-the epoch shuffles each use a stream derived from ``config.seed``.  The
+the epoch shuffles each use a stream derived from ``config.seed``, and
+triplet ``i`` of the dataset draws on child ``i`` of its stream, so the
+dataset is drawn on every CPU with the same bytes at any thread count.  The
 training step runs the network's convolutions in float32 over float64
 master parameters and Adam state; ``total_loss``, ``backward`` and the
 inference ops compute in float64 throughout.
@@ -20,6 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..noise_core import NUM_CHANNELS, NoiseParams, as_patch
+from ..parallel import run_units
 from ..streams import derive_stream
 from .checkpoint import EstimatorCheckpoint
 from .config import EstimatorConfig
@@ -120,16 +123,32 @@ class Adam:
 
 
 def make_triplet_batch(scene_pool, camera_bank, rng, size: int) -> TripletBatch:
-    """Draw ``size`` triplets into one float32 (3, size, 4, H, W) stack."""
+    """Draw ``size`` triplets into one float32 (3, size, 4, H, W) stack.
+
+    Triplet ``i`` draws on ``rng.spawn(size)[i]``, so the triplets are drawn
+    on every CPU (see ``parallel.run_units``) with the bytes of a serial
+    loop, and a refused batch raises the error of its lowest failing
+    triplet.  Triplet 0 is drawn first, on this thread: it fixes the patch
+    shape, and an empty scene pool or bank fails there before any thread
+    starts.  Spawning does not advance the draws of ``rng``, but a second
+    call on the same ``rng`` takes its next ``size`` children.
+    """
     if size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {size}")
-    anchor_params = []
-    for i in range(size):
-        t = augment_triplet(scene_pool, camera_bank, rng)
-        if i == 0:
-            patches = np.empty((3, size, *t.anchor.shape), dtype=np.float32)
-        patches[:, i] = (t.anchor, t.positive, t.negative)
-        anchor_params.append(t.anchor_params)
+    streams = rng.spawn(size)
+    first = augment_triplet(scene_pool, camera_bank, streams[0])
+    patches = np.empty((3, size, *first.anchor.shape), dtype=np.float32)
+    anchor_params = [None] * size
+
+    def put(i, triplet):
+        for row, patch in enumerate((triplet.anchor, triplet.positive, triplet.negative)):
+            patches[row, i] = patch
+        anchor_params[i] = triplet.anchor_params
+
+    put(0, first)
+    run_units(
+        size - 1, lambda i: put(i + 1, augment_triplet(scene_pool, camera_bank, streams[i + 1]))
+    )
     return TripletBatch(patches=patches, anchor_params=tuple(anchor_params))
 
 

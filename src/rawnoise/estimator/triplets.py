@@ -21,7 +21,7 @@ import numpy as np
 
 from ..calibration import sample_params
 from ..errors import ConfigurationError, DomainError
-from ..noise_core import NoiseParams, synthesize_noise
+from ..noise_core import NoiseParams, add_noise
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator) -> Triple
     camera = camera_bank[rng.integers(len(camera_bank))]
     params = sample_params(camera, rng)
 
-    anchor, _ = synthesize_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
-    positive, _ = synthesize_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
+    anchor = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
+    positive = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
 
     for _ in range(100):
         neg_camera = camera_bank[rng.integers(len(camera_bank))]
@@ -71,7 +71,7 @@ def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator) -> Triple
     else:
         # only reachable with a fully degenerate bank (single point mass)
         raise ConfigurationError("camera bank cannot produce a distinct negative tuple")
-    negative, _ = synthesize_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng)
+    negative = add_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng)
 
     return Triplet(
         anchor=anchor,

@@ -7,7 +7,11 @@ parallel generation agree bit-for-bit regardless of worker count or
 evaluation order.
 
 Derivation rule (stable across releases): stream ``i`` is
-``PCG64(SeedSequence(master_seed, spawn_key=(i,)))``.
+``PCG64(SeedSequence(master_seed, spawn_key=(i,)))``.  A set of units
+drawn from one stream takes one child per unit: triplet ``i`` of a
+training set draws on child ``i`` of the data stream,
+``PCG64(SeedSequence(seed, spawn_key=(DATA_STREAM, i)))``, so training-set
+bytes do not depend on the thread count either.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from rawnoise import cli, synthetic
+from rawnoise import cli, parallel, synthetic
 from rawnoise.cli import main
 
 PARAMS = '{"K": 1.5, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
@@ -58,7 +58,7 @@ def _bank_flags(base) -> list:
 @pytest.fixture()
 def cpus(monkeypatch):
     """Set the CPU count gen-dataset sees."""
-    return lambda n: monkeypatch.setattr(cli, "_cpu_count", lambda: n)
+    return lambda n: monkeypatch.setattr(parallel, "cpu_count", lambda: n)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -76,7 +76,7 @@ def test_one_cpu_starts_no_thread(tmp_path, cpus, monkeypatch):
         raise AssertionError("a thread was started")
 
     cpus(1)
-    monkeypatch.setattr(cli.threading, "Thread", no_thread)
+    monkeypatch.setattr(parallel.threading, "Thread", no_thread)
     assert run("gen-dataset", "--out", tmp_path / "set", *MODES["dark"]) == 0
     assert _tree_digest(tmp_path / "set") == PINNED["dark"]
 
@@ -92,7 +92,7 @@ def test_units_run_on_n_threads_at_once(cpus, n):
         idents.add(threading.get_ident())
         barrier.wait()
 
-    cli._run_units(2 * n, unit)
+    parallel.run_units(2 * n, unit)
     assert len(idents) == n
 
 
@@ -104,13 +104,13 @@ def test_stress_more_threads_than_cpus(tmp_path, cpus):
     sys.setswitchinterval(1e-6)
     try:
         ran = []
-        cli._run_units(3000, ran.append)
+        parallel.run_units(3000, ran.append)
         assert sorted(ran) == list(range(3000))
         argv = ["gen-dataset", "--mode", "dark", "--seed", 23, "--count", 60,
                 "--height", 4, "--width", 4, "--params", PARAMS]
         assert run(*argv, "--out", tmp_path / "threads") == 0
         written = cli._NewFiles()
-        cli._run_units(200, lambda i: written.json(tmp_path / "listed" / f"{i}.json", {}))
+        parallel.run_units(200, lambda i: written.json(tmp_path / "listed" / f"{i}.json", {}))
         assert sorted(written) == sorted((tmp_path / "listed").iterdir())
     finally:
         sys.setswitchinterval(interval)
@@ -133,7 +133,7 @@ def test_the_lowest_failing_index_is_raised_and_claims_stop(cpus):
     for _ in range(50):
         ran.clear()
         with pytest.raises(ValueError) as caught:
-            cli._run_units(1000, unit)
+            parallel.run_units(1000, unit)
         assert caught.value.args == (3,)
         assert {0, 1, 2, 3} <= ran
         assert len(ran) < 20
@@ -165,9 +165,9 @@ def test_a_claimed_unit_runs_after_a_later_unit_failed(cpus, monkeypatch):
                 unit_2_failed.set()
             raise ValueError(i)
 
-    monkeypatch.setattr(cli.itertools, "count", SlowClaims)
+    monkeypatch.setattr(parallel.itertools, "count", SlowClaims)
     with pytest.raises(ValueError) as caught:
-        cli._run_units(6, unit)
+        parallel.run_units(6, unit)
     assert caught.value.args == (1,)
 
 

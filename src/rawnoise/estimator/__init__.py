@@ -14,17 +14,17 @@ from .train import (
     total_loss,
     train,
 )
-from .triplets import Triplet, TripletBatch, augment_triplet
+from .triplets import TripletBatch, augment_triplet, draw_params
 
 __all__ = [
     "ConvStage",
     "EstimatorCheckpoint",
     "EstimatorConfig",
     "EstimatorNetwork",
-    "Triplet",
     "TripletBatch",
     "augment_triplet",
     "backward",
+    "draw_params",
     "estimate",
     "evaluate_triplets",
     "heldout_weighted_mse",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ShapeError
 from ..noise_core import NUM_CHANNELS, NoiseParams, as_patch
 from ..parallel import run_units
 from ..streams import derive_stream
@@ -125,30 +125,31 @@ class Adam:
 def make_triplet_batch(scene_pool, camera_bank, rng, size: int) -> TripletBatch:
     """Draw ``size`` triplets into one float32 (3, size, 4, H, W) stack.
 
-    Triplet ``i`` draws on ``rng.spawn(size)[i]``, so the triplets are drawn
-    on every CPU (see ``parallel.run_units``) with the bytes of a serial
-    loop, and a refused batch raises the error of its lowest failing
-    triplet.  Triplet 0 is drawn first, on this thread: it fixes the patch
-    shape, and an empty scene pool or bank fails there before any thread
-    starts.  Spawning does not advance the draws of ``rng``, but a second
-    call on the same ``rng`` takes its next ``size`` children.
+    The stack is allocated from the first scene's shape before any stream
+    is spawned or thread started.  Triplet ``i`` then draws on
+    ``rng.spawn(size)[i]`` straight into ``patches[:, i]``, on every CPU
+    (see ``parallel.run_units``) with the bytes of a serial loop; a refused
+    batch raises the error of its lowest failing triplet.  Spawning does
+    not advance the draws of ``rng``, but a second call on the same ``rng``
+    takes its next ``size`` children.
     """
     if size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {size}")
-    streams = rng.spawn(size)
-    first = augment_triplet(scene_pool, camera_bank, streams[0])
-    patches = np.empty((3, size, *first.anchor.shape), dtype=np.float32)
+    if not scene_pool:
+        raise ConfigurationError("scene pool is empty")
+    if not camera_bank:
+        raise ConfigurationError("camera bank is empty")
+    shape = np.shape(scene_pool[0])
+    if any(np.shape(scene) != shape for scene in scene_pool):
+        raise ShapeError(f"scene pool mixes shapes; the first scene is {shape}")
+    patches = np.empty((3, size, *shape), dtype=np.float32)
     anchor_params = [None] * size
+    streams = rng.spawn(size)
 
-    def put(i, triplet):
-        for row, patch in enumerate((triplet.anchor, triplet.positive, triplet.negative)):
-            patches[row, i] = patch
-        anchor_params[i] = triplet.anchor_params
+    def draw(i):
+        anchor_params[i] = augment_triplet(scene_pool, camera_bank, streams[i], patches[:, i])
 
-    put(0, first)
-    run_units(
-        size - 1, lambda i: put(i + 1, augment_triplet(scene_pool, camera_bank, streams[i + 1]))
-    )
+    run_units(size, draw)
     return TripletBatch(patches=patches, anchor_params=tuple(anchor_params))
 
 

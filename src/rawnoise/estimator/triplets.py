@@ -10,7 +10,8 @@ A batch stores its patches at rest as one float32 ``(3, B, 4, H, W)``
 stack in [anchor, positive, negative] order, like NRAW tensors on disk.
 Training convolves them in float32 as they are; inference and evaluation
 upcast them to float64 as the first convolution copies them into its
-padded buffer.
+padded buffer.  The stack is allocated first, and each triplet is drawn
+straight into its slice ``patches[:, i]``.
 """
 
 from __future__ import annotations
@@ -22,17 +23,6 @@ import numpy as np
 from ..calibration import sample_params
 from ..errors import ConfigurationError, DomainError
 from ..noise_core import NoiseParams, add_noise
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """One anchor/positive/negative element with its generating tuples."""
-
-    anchor: np.ndarray
-    positive: np.ndarray
-    negative: np.ndarray
-    anchor_params: NoiseParams
-    negative_params: NoiseParams
 
 
 @dataclass(frozen=True)
@@ -50,33 +40,25 @@ class TripletBatch:
         return len(self.anchor_params)
 
 
-def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator) -> Triplet:
-    """Draw one triplet; redraws the negative tuple on exact collision."""
-    if not scene_pool:
-        raise ConfigurationError("scene pool is empty")
-    if not camera_bank:
-        raise ConfigurationError("camera bank is empty")
+def draw_params(camera_bank, rng: np.random.Generator) -> NoiseParams:
+    """Draw a random bank camera, then a tuple from it: the first draws of every triplet."""
+    return sample_params(camera_bank[rng.integers(len(camera_bank))], rng)
 
-    camera = camera_bank[rng.integers(len(camera_bank))]
-    params = sample_params(camera, rng)
 
-    anchor = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
-    positive = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
+def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator, out) -> NoiseParams:
+    """Draw one triplet into its (3, 4, H, W) stack slice ``out``; return the anchor tuple.
 
+    The negative tuple is redrawn on exact collision.
+    """
+    params = draw_params(camera_bank, rng)
+    out[0] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
+    out[1] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
     for _ in range(100):
-        neg_camera = camera_bank[rng.integers(len(camera_bank))]
-        neg_params = sample_params(neg_camera, rng)
+        neg_params = draw_params(camera_bank, rng)
         if neg_params != params:
             break
     else:
         # only reachable with a fully degenerate bank (single point mass)
         raise ConfigurationError("camera bank cannot produce a distinct negative tuple")
-    negative = add_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng)
-
-    return Triplet(
-        anchor=anchor,
-        positive=positive,
-        negative=negative,
-        anchor_params=params,
-        negative_params=neg_params,
-    )
+    out[2] = add_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng)
+    return params

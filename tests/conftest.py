@@ -14,9 +14,11 @@ from rawnoise.estimator import (
     EstimatorCheckpoint,
     EstimatorConfig,
     EstimatorNetwork,
+    draw_params,
     make_triplet_batch,
     train,
 )
+from rawnoise.estimator.network import DATA_STREAM
 from rawnoise.metrics import NoiseHistogram
 from rawnoise.streams import derive_stream
 
@@ -129,8 +131,10 @@ def toy_run():
     stage1_checkpoint = EstimatorCheckpoint(config=config, params=stage_snapshots[1])
 
     heldout = make_triplet_batch(scenes, bank, derive_stream(999, 0), 300)
-    train_dataset = make_triplet_batch(
-        scenes, bank, derive_stream(TOY_SEED, 1), config.train_triplets
+    # The training set's anchor tuples: each triplet stream draws its tuple first.
+    train_params = tuple(
+        draw_params(bank, stream)
+        for stream in derive_stream(TOY_SEED, DATA_STREAM).spawn(config.train_triplets)
     )
 
     return {
@@ -141,5 +145,5 @@ def toy_run():
         "stage1_checkpoint": stage1_checkpoint,
         "init_checkpoint": init_checkpoint,
         "heldout": heldout,
-        "train_params": train_dataset.anchor_params,
+        "train_params": train_params,
     }

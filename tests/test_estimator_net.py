@@ -109,27 +109,35 @@ class TestForward:
 
 
 class TestTriplets:
-    def test_negative_params_differ_from_anchor_params(self):
-        scenes, bank = tiny_pools()
-        rng = derive_stream(43, 0)
-        for _ in range(16):
-            t = augment_triplet(scenes, bank, rng)
-            assert t.negative_params != t.anchor_params
+    def test_negatives_come_from_the_other_camera(self):
+        """Two point-mass cameras, K = 0.1 and 10: a negative can only differ
+        from its anchor on the other camera, and a positive shares the anchor's.
+        On a flat scene at 100 the patch variance (about 10 against about
+        1000) tells the cameras apart."""
+        from rawnoise.calibration import CameraModel
+
+        bank = [
+            CameraModel(
+                a=0.0, b=0.0, a_r=0.0, b_r=0.0, sigma_hat=0.0, sigma_r_hat=0.0,
+                K_min=k, K_max=k, mu_c_model=0.0,
+            )
+            for k in (0.1, 10.0)
+        ]
+        batch = make_triplet_batch([np.full((4, 8, 8), 100.0)], bank, derive_stream(43, 0), 32)
+        high_gain = batch.patches.reshape(3, 32, -1).var(axis=2) > 100.0
+        anchor_high = np.array([p.K > 1.0 for p in batch.anchor_params])
+        assert 0 < anchor_high.sum() < 32
+        np.testing.assert_array_equal(high_gain[0], anchor_high)
+        np.testing.assert_array_equal(high_gain[1], anchor_high)
+        np.testing.assert_array_equal(high_gain[2], ~anchor_high)
 
     def test_single_scene_pool_forces_collision(self):
         """With one scene, anchor and positive share it yet still differ
         through independent noise realizations."""
         scenes, bank = tiny_pools()
-        rng = derive_stream(44, 0)
-        t = augment_triplet(scenes[:1], bank, rng)
-        assert not np.array_equal(t.anchor, t.positive)
-
-    def test_empty_pools_rejected(self):
-        scenes, bank = tiny_pools()
-        with pytest.raises(ConfigurationError):
-            augment_triplet([], bank, derive_stream(45, 0))
-        with pytest.raises(ConfigurationError):
-            augment_triplet(scenes, [], derive_stream(45, 0))
+        out = np.empty((3, 4, 8, 8), np.float32)
+        augment_triplet(scenes[:1], bank, derive_stream(44, 0), out)
+        assert not np.array_equal(out[0], out[1])
 
     def test_collision_guard_rejects_degenerate_bank(self):
         """A point-mass camera can only ever collide; the redraw guard
@@ -141,8 +149,9 @@ class TestTriplets:
             a=0.5, b=0.0, a_r=0.5, b_r=0.0, sigma_hat=0.0, sigma_r_hat=0.0,
             K_min=1.0, K_max=1.0, mu_c_model=0.0,
         )
+        out = np.empty((3, 4, 8, 8), np.float32)
         with pytest.raises(ConfigurationError):
-            augment_triplet(scenes, [point_mass], derive_stream(47, 0))
+            augment_triplet(scenes, [point_mass], derive_stream(47, 0), out)
 
     def test_batch_stacking(self):
         scenes, bank = tiny_pools()

@@ -18,12 +18,14 @@ from conftest import toy_config
 
 from rawnoise import synthetic
 from rawnoise.estimator import (
+    draw_params,
     evaluate_triplets,
     heldout_weighted_mse,
     make_triplet_batch,
     mean_r_baseline_mse,
     train,
 )
+from rawnoise.estimator.network import DATA_STREAM
 from rawnoise.streams import derive_stream
 
 TRAIN_SEEDS = (11, 12, 13)
@@ -44,9 +46,10 @@ def test_heldout_quality_over_seeds():
             derive_stream(seed, 4), 64, config.patch_height, config.patch_width
         )
         checkpoint = train(config, scenes, bank)
-        train_params = make_triplet_batch(
-            scenes, bank, derive_stream(seed, 1), config.train_triplets
-        ).anchor_params
+        train_params = tuple(
+            draw_params(bank, stream)
+            for stream in derive_stream(seed, DATA_STREAM).spawn(config.train_triplets)
+        )
         for heldout_seed in HELDOUT_SEEDS:
             heldout = make_triplet_batch(
                 scenes, bank, derive_stream(heldout_seed, 0), HELDOUT_TRIPLETS

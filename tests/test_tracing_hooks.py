@@ -1,10 +1,10 @@
-"""The benchmark's per-layer hooks still reach the estimator, oracle and io layers they time.
+"""The benchmark's per-layer hooks still reach the estimator, sampler, oracle and io layers.
 
 ``bench/tracing.py`` wraps functions at the place the program looks them up.
 A hook whose name a refactor removed is only reported as absent, and its
 layer then reads 0, so a rename in the network, the training loop, the
-oracle or the write path would silently zero the per-layer metrics.  This
-test reads ``bench/`` and changes nothing there.
+training-set draw, the oracle or the write path would silently zero the
+per-layer metrics.  This test reads ``bench/`` and changes nothing there.
 """
 
 import importlib.util
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawnoise import oracle, synthetic
+from rawnoise import oracle, parallel, synthetic
 from rawnoise.cli import main
 from rawnoise.estimator import ConvStage, EstimatorConfig, train
 from rawnoise.streams import derive_stream
@@ -37,10 +37,26 @@ def _load_tracing():
     return module
 
 
-def test_estimator_hooks_resolve_and_record():
+# The layers the training-set draw reaches below the estimator: the samplers
+# ``add_noise`` calls and ``sample_params`` where the triplets look it up.
+TRAINING_DRAW = {
+    "noise_core.sample_shot",
+    "noise_core.sample_row",
+    "noise_core.sample_read",
+    "calibration.sample_params",
+}
+
+
+def test_estimator_hooks_resolve_and_record(monkeypatch):
+    # Tracer keeps one span stack for all threads, so spans drawn on two
+    # threads at once would be lost; draw the training set on this one.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
     tracing = _load_tracing()
-    hooks = [hook for hook in tracing.HOOKS if str(hook[0]).startswith("estimator.")]
-    assert hooks
+    hooks = [
+        hook for hook in tracing.HOOKS
+        if str(hook[0]).startswith("estimator.") or hook[0] in TRAINING_DRAW
+    ]
+    assert {hook[0] for hook in hooks} >= TRAINING_DRAW
 
     config = EstimatorConfig(
         patch_height=8, patch_width=8,
@@ -63,6 +79,13 @@ def test_estimator_hooks_resolve_and_record():
     idle = sorted(layer for layer in live if tracer.stats[layer].calls == 0)
     assert idle == []
     assert tracer.stats["estimator.network.conv_backward"].counts["gflop"] > 0
+    # Each triplet draws two tuples (no bank tuple collides) and three noisy patches.
+    assert {layer: tracer.stats[layer].calls for layer in TRAINING_DRAW} == {
+        "noise_core.sample_shot": 3 * config.train_triplets,
+        "noise_core.sample_row": 3 * config.train_triplets,
+        "noise_core.sample_read": 3 * config.train_triplets,
+        "calibration.sample_params": 2 * config.train_triplets,
+    }
     assert all(np.isfinite(row["total"]) for row in checkpoint.metadata["loss_log"])
 
 

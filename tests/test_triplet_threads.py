@@ -5,11 +5,12 @@ import pytest
 
 from rawnoise import parallel, synthetic
 from rawnoise.calibration import CameraModel
-from rawnoise.errors import ConfigurationError, DomainError
+from rawnoise.errors import ConfigurationError, DomainError, ShapeError
 from rawnoise.estimator import (
     ConvStage,
     EstimatorConfig,
     augment_triplet,
+    draw_params,
     make_triplet_batch,
     train,
 )
@@ -40,25 +41,26 @@ def _scenes(count=6):
     return synthetic.make_scene_pool(derive_stream(60, 0), count, 8, 8, white_level=64.0)
 
 
+def _stream(seed, i):
+    """Triplet i's stream, PCG64(SeedSequence(seed, (DATA_STREAM, i)))."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(DATA_STREAM, i)))
+
+
 def _serial(scene_pool, bank, seed, size):
-    """A plain loop over triplet i's stream, PCG64(SeedSequence(seed, (DATA_STREAM, i)))."""
-    triplets = [
-        augment_triplet(
-            scene_pool, bank,
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(DATA_STREAM, i))),
-        )
-        for i in range(size)
-    ]
-    patches = np.array([[t.anchor, t.positive, t.negative] for t in triplets], np.float32)
-    return patches.swapaxes(0, 1), tuple(t.anchor_params for t in triplets)
+    """A plain loop over the triplet streams, one triplet at a time."""
+    patches = np.empty((size, 3, *np.shape(scene_pool[0])), np.float32)
+    anchor_params = tuple(
+        augment_triplet(scene_pool, bank, _stream(seed, i), patches[i]) for i in range(size)
+    )
+    return patches.swapaxes(0, 1), anchor_params
 
 
 def _first_error(scene_pool, bank, seed, size):
     """The index and error of the first triplet a serial loop refuses."""
+    out = np.empty((3, *np.shape(scene_pool[0])), np.float32)
     for i in range(size):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(DATA_STREAM, i)))
         try:
-            augment_triplet(scene_pool, bank, rng)
+            augment_triplet(scene_pool, bank, _stream(seed, i), out)
         except (ConfigurationError, DomainError) as exc:
             return i, exc
     raise AssertionError("no triplet was refused")
@@ -75,6 +77,9 @@ def test_batch_bytes_do_not_depend_on_the_thread_count(cpus):
         assert batch.anchor_params == anchor_params, n
         # Spawning the triplet streams draws nothing from rng.
         assert rng.random() == derive_stream(61, DATA_STREAM).random()
+    # Each stream draws its anchor tuple first, so the tuples alone cost no patches.
+    streams = derive_stream(61, DATA_STREAM).spawn(11)
+    assert tuple(draw_params(bank, stream) for stream in streams) == anchor_params
 
 
 def test_checkpoint_bytes_do_not_depend_on_the_thread_count(cpus):
@@ -113,7 +118,7 @@ def test_the_lowest_failing_triplet_is_raised(cpus, bad):
     scenes[5] = np.full_like(scenes[5], bad)
     bank = synthetic.default_camera_bank()
     index, expected = _first_error(scenes, bank, 65, 40)
-    assert index > 0  # the refusal happens on the runner, not on triplet 0
+    assert index > 0  # triplets before the refused one are drawn, on any thread
     for n in (1, 2, 4, 4, 4):
         cpus(n)
         with pytest.raises(DomainError) as caught:
@@ -128,3 +133,23 @@ def test_empty_pools_are_refused_before_any_thread_starts(cpus, no_thread, empty
     scenes, bank = ([], bank) if empty == "scene pool" else (scenes, [])
     with pytest.raises(ConfigurationError, match=f"{empty} is empty"):
         make_triplet_batch(scenes, bank, derive_stream(66, 1), 8)
+
+
+def test_mixed_scene_shapes_are_refused_before_any_thread_starts(cpus, no_thread):
+    cpus(4)
+    scenes = _scenes(3) + synthetic.make_scene_pool(derive_stream(60, 1), 2, 16, 16)
+    with pytest.raises(ShapeError, match="mixes shapes"):
+        make_triplet_batch(scenes, synthetic.default_camera_bank(), derive_stream(67, 1), 8)
+
+
+class _NoSpawn:
+    def spawn(self, n):
+        raise AssertionError(f"spawned {n} streams")
+
+
+def test_a_stack_too_large_fails_before_any_stream_is_spawned(cpus, no_thread):
+    """10**12 triplets of 8x8 scenes take 2.7 PiB, beyond any address space;
+    the allocation must fail before the streams (about 1 KB each) exist."""
+    cpus(4)
+    with pytest.raises(MemoryError):
+        make_triplet_batch(_scenes(), synthetic.default_camera_bank(), _NoSpawn(), 10**12)

@@ -9,17 +9,23 @@ signal level.  Those variances do not move with the bias, so no frame is
 bias-subtracted.  No learning is involved, so the composed estimate
 doubles as the ground-truth oracle for the learned estimator.
 
-Each frame set (the dark frames, or the flats of one level) is a validated
-list of float64 ``(4, H, W)`` frames of one shape, never a stack.  Every
-statistic is reduced frame by frame, and the per-frame values are added in
-sorted order, making every estimate bit-identical under any permutation of
-frames (or of frames within a level).
+A frame set (the dark frames, or the flats of one level) is any iterable
+of float64 ``(4, H, W)`` frames of one shape, or their stack, and each
+frame is checked as it is read.  The darks are reduced in one pass that
+holds one frame at a time: each frame gives its sum and its row and
+column variances, and is dropped once the next has been read.  The flats
+are held one level at a time, because their variance takes two passes
+over the level.  The per-frame values are added in sorted order, making
+every estimate bit-identical under any permutation of frames (or of
+frames within a level).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,33 +42,46 @@ GAIN_FLOOR = 1e-12
 MIN_PACKED_WIDTH = 8  # 16 physical columns
 
 
-class _FrameSet(list):
-    """A frame list that ``_frame_stack`` has validated."""
+class _DarkStatistics(NamedTuple):
+    """A dark set reduced by ``_dark_statistics``."""
+
+    mu_c: float
+    sigma_r: float
 
 
-def _frame_stack(frames, what: str, at_least: int = 1) -> _FrameSet:
-    """One frame set, any iterable of packed frames, as a validated list of float64 frames.
+def _checked_frames(frames, what: str) -> Iterator[np.ndarray]:
+    """Each frame of a set as float64, checked before the next one is read.
 
-    This is the one place a frame set is gathered; an iterable is consumed
-    once, and the frames of a float64 ``(n, 4, H, W)`` stack are its views.
-    A list this function returned is handed back as it is, so a set is
-    checked once however many estimators read it.  Raises
-    InsufficientDataError below ``at_least`` frames, ShapeError for mixed
-    or unpacked shapes, and DomainError for non-finite values.
+    The frames of a float64 ``(n, 4, H, W)`` stack are its views.  Raises
+    ShapeError for an unpacked first frame or a frame shaped unlike the
+    first, and DomainError for non-finite values, at the first bad frame.
     """
-    if isinstance(frames, _FrameSet) and len(frames) >= at_least:
-        return frames
-    frames = _FrameSet(np.asarray(f, dtype=np.float64) for f in frames)
-    shapes = {f.shape for f in frames}
-    if len(shapes) > 1:
-        raise ShapeError(f"{what} differ in shape: {sorted(shapes)}")
+    shape = None
+    for index, frame in enumerate(frames):
+        frame = np.asarray(frame, dtype=np.float64)
+        if shape is None:
+            shape = frame.shape
+            if len(shape) != 3 or shape[0] != NUM_CHANNELS or 0 in shape[1:]:
+                raise ShapeError(f"{what} must be packed (4, H, W) frames, got {shape}")
+        elif frame.shape != shape:
+            raise ShapeError(
+                f"{what} differ in shape: frame {index} is {frame.shape}, frame 0 is {shape}"
+            )
+        if not np.isfinite(frame).all():
+            raise DomainError(f"{what} contain non-finite values")
+        yield frame
+
+
+def _frame_stack(frames, what: str, at_least: int = 1) -> list[np.ndarray]:
+    """The flats of one level, any iterable of packed frames, as a list of checked float64 frames.
+
+    The photon-transfer variance takes two passes over a level, so its
+    frames are held until the level is reduced.  Raises InsufficientDataError
+    below ``at_least`` frames, and the errors of ``_checked_frames``.
+    """
+    frames = list(_checked_frames(frames, what))
     if len(frames) < at_least:
         raise InsufficientDataError(f"need at least {at_least} {what}, got {len(frames)}")
-    shape = frames[0].shape
-    if len(shape) != 3 or shape[0] != NUM_CHANNELS or 0 in shape[1:]:
-        raise ShapeError(f"{what} must be packed (4, H, W) frames, got {shape}")
-    if not all(np.isfinite(f).all() for f in frames):
-        raise DomainError(f"{what} contain non-finite values")
     return frames
 
 
@@ -121,6 +140,40 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
     return slope, math.sqrt(intercept)
 
 
+def _dark_statistics(dark_frames) -> _DarkStatistics:
+    """The color bias and the row-noise std of a dark set, in one pass.
+
+    Each frame is read, checked and reduced to its sum and the ``ddof=1``
+    variances of its physical-row and physical-column means, and is dropped
+    once the next has been read, so memory does not grow with the number
+    of frames.  A first frame narrower than ``MIN_PACKED_WIDTH`` is refused
+    with DomainError before the next is read.  A set this function reduced
+    is handed back as it is.
+    """
+    if isinstance(dark_frames, _DarkStatistics):
+        return dark_frames
+    sums, row_variances, col_variances = [], [], []
+    for frame in _checked_frames(dark_frames, "dark frames"):
+        if not sums:
+            size, (_, height, width) = frame.size, frame.shape
+            if width < MIN_PACKED_WIDTH:
+                raise DomainError(
+                    f"row noise needs packed width >= {MIN_PACKED_WIDTH}, got {width}"
+                )
+        sums.append(frame.sum())
+        row_variances.append(np.var(_physical_row_means(frame), ddof=1))
+        col_variances.append(np.var(_physical_col_means(frame), ddof=1))
+    if not sums:
+        raise InsufficientDataError("need at least 1 dark frames, got 0")
+
+    count = len(sums)
+    v_row = _sorted_sum(row_variances) / count
+    v_col = _sorted_sum(col_variances) / count
+    sigma_sq = 2 * height * v_col
+    sigma_r = math.sqrt(max(0.0, v_row - sigma_sq / (2 * width)))
+    return _DarkStatistics(mu_c=_sorted_sum(sums) / (count * size), sigma_r=sigma_r)
+
+
 def estimate_row_sigma(dark_frames) -> float:
     """Row-noise std from dark frames via row-mean variance.
 
@@ -130,20 +183,12 @@ def estimate_row_sigma(dark_frames) -> float:
     ``sigma^2 / H`` (the shared row offsets cancel out of the within-frame
     spread).  The corrected value is floored at zero before the root.
     """
-    darks = _frame_stack(dark_frames, "dark frames")
-    _, height, width = darks[0].shape
-    if width < MIN_PACKED_WIDTH:
-        raise DomainError(f"row noise needs packed width >= {MIN_PACKED_WIDTH}, got {width}")
-
-    v_row = _sorted_sum([np.var(_physical_row_means(f), ddof=1) for f in darks]) / len(darks)
-    v_col = _sorted_sum([np.var(_physical_col_means(f), ddof=1) for f in darks]) / len(darks)
-    sigma_sq = 2 * height * v_col
-    return math.sqrt(max(0.0, v_row - sigma_sq / (2 * width)))
+    return _dark_statistics(dark_frames).sigma_r
 
 
 def estimate_color_bias(dark_frames) -> float:
     """Global mean of all dark-frame pixels."""
-    return _set_mean(_frame_stack(dark_frames, "dark frames"))
+    return _dark_statistics(dark_frames).mu_c
 
 
 def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
@@ -153,14 +198,15 @@ def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
     which the bias does not shift, so no frame is bias-subtracted.  The read
     std is recovered from the photon-transfer intercept by removing the row
     variance.  The returned tuple always satisfies the parameter invariants
-    (K floored at ``GAIN_FLOOR``, sigmas at zero).  Each frame set (the
-    darks, the flats of a level) is any iterable of packed frames, or their
-    stack, and is held only while it is reduced.
+    (K floored at ``GAIN_FLOOR``, sigmas at zero).  The darks are any
+    iterable of packed frames, or their stack, and are reduced in one pass
+    holding one frame; the flats are held one level at a time.
     """
-    darks = _frame_stack(dark_frames, "dark frames")
+    darks = _dark_statistics(dark_frames)
+    # Each estimator is still called once (the benchmark traces each as a
+    # layer), and both read the one reduction.
     mu_c = estimate_color_bias(darks)
     sigma_r = estimate_row_sigma(darks)
-    del darks  # a lazily read dark set is freed before the flats are read
 
     gain, sigma_total = estimate_gain_and_read(flat_series)
     sigma = math.sqrt(max(0.0, sigma_total**2 - sigma_r**2))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawnoise import synthetic
+from rawnoise import cli, synthetic
 from rawnoise.cli import build_parser, main
 from rawnoise.estimator import ConvStage, EstimatorConfig, EstimatorNetwork, EstimatorCheckpoint
 from rawnoise.io import Manifest, read_tensor, write_tensor
@@ -299,6 +299,59 @@ class TestGenDatasetAndOracle:
         finally:
             tracemalloc.stop()
         assert peak < 2.0 * dark_bytes, f"peak {peak / dark_bytes:.2f}x the dark set"
+
+    def test_oracle_memory_does_not_grow_with_the_dark_count(self, tmp_path):
+        """The darks are reduced one frame at a time: 64 darks of 4x64x64 peak
+        within one frame (128 KiB) of 16 darks, with the same flats."""
+        params = '{"K": 1.0, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
+        frames = ["--params", params, "--height", 64, "--width", 64]
+        assert run("gen-dataset", "--out", tmp_path / "flats", "--seed", 1, "--mode", "flat",
+                   "--count", 4, "--levels", "4,16,64", *frames) == 0
+        peaks = []
+        for count in (16, 64):
+            darks = tmp_path / f"darks_{count}"
+            assert run("gen-dataset", "--out", darks, "--seed", 2, "--mode", "dark",
+                       "--count", count, *frames) == 0
+            tracemalloc.start()
+            try:
+                assert run("estimate", "--oracle", "--flat-series", tmp_path / "flats",
+                           "--dark", darks, "--out", tmp_path / "est.json") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        frame_bytes = 4 * 64 * 64 * 8
+        assert abs(peaks[1] - peaks[0]) < frame_bytes, f"peaks {peaks} differ by over one frame"
+
+    @pytest.mark.parametrize("shapes, expected", [
+        ([(3, 16, 16)], "SHAPE: dark frames must be packed (4, H, W) frames, got (3, 16, 16)"),
+        ([(4, 16, 4)], "DOMAIN: row noise needs packed width >= 8, got 4"),
+        ([(4, 16, 16), (4, 16, 16), (4, 16, 32)],
+         "SHAPE: dark frames differ in shape: frame 2 is (4, 16, 32), frame 0 is (4, 16, 16)"),
+    ], ids=["unpacked_first", "narrow_first", "mixed_third"])
+    def test_oracle_stops_at_the_first_bad_dark_frame(
+        self, tmp_path, capsys, monkeypatch, shapes, expected
+    ):
+        """Exit 2 with the first bad dark frame's error; no later dark frame is read."""
+        assert run("gen-dataset", "--out", tmp_path / "flats", "--seed", 1, "--mode", "flat",
+                   "--count", 2, "--levels", "4,16", "--params", PARAMS_JSON,
+                   "--height", 16, "--width", 16) == 0
+        darks = tmp_path / "darks"
+        darks.mkdir()
+        for k, shape in enumerate([*shapes, *[(4, 16, 16)] * 3]):
+            write_tensor(darks / f"noisy_{k:04d}.nraw", np.zeros(shape))
+        read = []
+
+        def counting_read(path):
+            read.append(Path(path))
+            return read_tensor(path)
+
+        monkeypatch.setattr(cli, "read_tensor", counting_read)
+        assert run("estimate", "--oracle", "--flat-series", tmp_path / "flats",
+                   "--dark", darks, "--out", tmp_path / "est.json") == 2
+        assert capsys.readouterr().err.strip() == expected
+        assert [path.name for path in read if path.parent == darks] == [
+            f"noisy_{k:04d}.nraw" for k in range(len(shapes))
+        ]
 
     def test_oracle_estimate_round_trip(self, tmp_path):
         params = '{"K": 1.0, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'

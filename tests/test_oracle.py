@@ -1,9 +1,11 @@
 """Round-trip recovery of generating parameters by the statistical oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
-from rawnoise.errors import InsufficientDataError, ShapeError
+from rawnoise.errors import DomainError, InsufficientDataError, ShapeError
 from rawnoise.noise_core import NoiseParams, synthesize_noise
 from rawnoise.oracle import (
     _frame_stack,
@@ -13,6 +15,14 @@ from rawnoise.oracle import (
     estimate_row_sigma,
 )
 from rawnoise.streams import derive_stream
+
+FLATS = [(level, [np.full((4, 16, 16), level)] * 2) for level in (10.0, 40.0)]
+# Each dark-set estimator, called with dark frames only.
+DARK_ESTIMATORS = {
+    "bias": estimate_color_bias,
+    "row_sigma": estimate_row_sigma,
+    "oracle": lambda darks: estimate_params_oracle(FLATS, darks),
+}
 
 
 def make_flat_series(params, levels, frames_per_level, shape, rng):
@@ -185,6 +195,38 @@ class TestComposedOracle:
         assert [sum(x is frame for x in checked) for frame in darks] == [1, 1, 1]
 
 
+class TestFirstBadDarkFrame:
+    """The dark pass refuses a set at its first bad frame, before the next is read."""
+
+    CASES = {
+        "unpacked_first": ([(3, 16, 16)], ShapeError, "must be packed"),
+        "narrow_first": ([(4, 16, 4)], DomainError, "packed width >= 8, got 4"),
+        "mixed_third": (
+            [(4, 16, 16), (4, 16, 16), (4, 16, 32)],
+            ShapeError,
+            "dark frames differ in shape: frame 2 is (4, 16, 32), frame 0 is (4, 16, 16)",
+        ),
+        "non_finite_second": ([(4, 16, 16), None], DomainError, "non-finite"),
+    }
+
+    @pytest.mark.parametrize("estimator", sorted(DARK_ESTIMATORS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_at_the_first_bad_frame(self, estimator, case):
+        shapes, error, message = self.CASES[case]
+        frames = [np.zeros(shape) if shape else np.full((4, 16, 16), np.nan) for shape in shapes]
+        frames += [np.zeros((4, 16, 16))] * 5  # never read
+        pulled = []
+
+        def counted():
+            for frame in frames:
+                pulled.append(frame)
+                yield frame
+
+        with pytest.raises(error, match=re.escape(message)):
+            DARK_ESTIMATORS[estimator](counted())
+        assert len(pulled) == len(shapes)
+
+
 class TestEstimatorProperties:
     def test_order_independence(self):
         """Permuting frames leaves every estimate bit-identical."""
@@ -212,6 +254,16 @@ class TestEstimatorProperties:
         frames = _frame_stack(dark_stack, "dark frames")
         assert all(np.shares_memory(frame, dark_stack) for frame in frames)
         assert estimate_params_oracle(stacked, dark_stack) == estimate_params_oracle(series, darks)
+
+    @pytest.mark.parametrize("estimator", sorted(DARK_ESTIMATORS))
+    def test_lists_stacks_and_generators_give_the_same_bits(self, estimator):
+        """A list, an (n, 4, H, W) stack and a one-shot generator of one dark set agree."""
+        params = NoiseParams(K=1.5, sigma=1.0, mu_c=0.4, sigma_r=0.7)
+        darks = make_dark_frames(params, 6, (4, 16, 16), derive_stream(114, 0))
+        estimate = DARK_ESTIMATORS[estimator]
+        expected = estimate(darks)
+        assert estimate(np.stack(darks)) == expected
+        assert estimate(frame for frame in darks) == expected
 
     def test_reductions_match_stack_wide_numpy(self):
         """Each per-frame reduction agrees with its stack-wide numpy formula."""

@@ -181,7 +181,12 @@ def _read_flat_series(root) -> list[tuple[float, Iterator[np.ndarray]]]:
         clean_path = level_dir / "clean.nraw"
         if not clean_path.exists():
             raise InsufficientDataError(f"{level_dir} has no clean.nraw level reference")
-        series.append((float(read_tensor(clean_path).mean()), _read_noisy_frames(level_dir)))
+        clean = read_tensor(clean_path)
+        # An empty or non-finite reference has no level; its mean would warn.
+        level = float(clean.mean()) if clean.size and np.isfinite(clean).all() else math.nan
+        if not 0 <= level < math.inf:  # the levels gen-dataset accepts
+            raise DomainError(f"{clean_path} must hold a finite, non-negative flat level")
+        series.append((level, _read_noisy_frames(level_dir)))
     if not series:
         raise InsufficientDataError(f"{root} holds no level directories")
     return series

@@ -10,14 +10,13 @@ bias-subtracted.  No learning is involved, so the composed estimate
 doubles as the ground-truth oracle for the learned estimator.
 
 A frame set (the dark frames, or the flats of one level) is any iterable
-of float64 ``(4, H, W)`` frames of one shape, or their stack, and each
-frame is checked as it is read.  The darks are reduced in one pass that
-holds one frame at a time: each frame gives its sum and its row and
-column variances, and is dropped once the next has been read.  The flats
-are held one level at a time, because their variance takes two passes
-over the level.  The per-frame values are added in sorted order, making
-every estimate bit-identical under any permutation of frames (or of
-frames within a level).
+of float64 ``(4, H, W)`` frames of one shape, or their stack.  Every set
+is read, checked and reduced one frame at a time, in one pass: each frame
+gives a few per-frame values (its sum, and its row and column variances
+or its within-frame sum of squares) and is dropped once the next has been
+read, so memory does not grow with the number of frames.  The per-frame
+values are added in sorted order, making every estimate bit-identical
+under any permutation of frames (or of frames within a level).
 """
 
 from __future__ import annotations
@@ -72,27 +71,10 @@ def _checked_frames(frames, what: str) -> Iterator[np.ndarray]:
         yield frame
 
 
-def _frame_stack(frames, what: str, at_least: int = 1) -> list[np.ndarray]:
-    """The flats of one level, any iterable of packed frames, as a list of checked float64 frames.
-
-    The photon-transfer variance takes two passes over a level, so its
-    frames are held until the level is reduced.  Raises InsufficientDataError
-    below ``at_least`` frames, and the errors of ``_checked_frames``.
-    """
-    frames = list(_checked_frames(frames, what))
-    if len(frames) < at_least:
-        raise InsufficientDataError(f"need at least {at_least} {what}, got {len(frames)}")
-    return frames
-
-
 def _sorted_sum(values) -> float:
     # Adding the per-frame values in sorted order makes the total, and so
     # every estimate, bit-identical under any permutation of the frames.
     return float(np.sort(values).sum())
-
-
-def _set_mean(frames: list[np.ndarray]) -> float:
-    return _sorted_sum([f.sum() for f in frames]) / (len(frames) * frames[0].size)
 
 
 def _physical_row_means(frame: np.ndarray) -> np.ndarray:
@@ -120,16 +102,27 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
 
     Per-level pooled pixel variance is regressed against level: the slope
     is the gain K and the intercept is ``sigma^2 + sigma_r^2``.  A negative
-    intercept is floored at zero with a warning.  Each level is reduced as
-    it is read.
+    intercept is floored at zero with a warning.  Each frame of a level is
+    reduced to its sum and its sum of squared deviations from its own mean,
+    and is dropped once the next has been read; the level variance adds
+    each frame's offset from the level mean to those sums.
     """
     levels, variances = [], []
     for level, frames in flat_series:
-        flats = _frame_stack(frames, f"flats of level {level}", 2)
-        mean = _set_mean(flats)
-        squares = _sorted_sum([np.square(f - mean).sum() for f in flats])
+        what = f"flats of level {level}"
+        sums, squares = [], []
+        for frame in _checked_frames(frames, what):
+            sums.append(frame.sum())
+            squares.append(np.square(frame - sums[-1] / frame.size).sum())
+        if len(sums) < 2:
+            raise InsufficientDataError(f"need at least 2 {what}, got {len(sums)}")
+        # Deviations from the level mean are the within-frame ones plus each
+        # frame's mean offset, which counts once per pixel.
+        size, count = frame.size, len(sums) * frame.size
+        mean = _sorted_sum(sums) / count
+        offsets = _sorted_sum([size * (s / size - mean) ** 2 for s in sums])
         levels.append(float(level))
-        variances.append(squares / (len(flats) * flats[0].size - 1))
+        variances.append((_sorted_sum(squares) + offsets) / (count - 1))
     if np.unique(levels).size < 2:
         raise InsufficientDataError("photon transfer needs >= 2 distinct flat levels")
 
@@ -198,9 +191,9 @@ def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
     which the bias does not shift, so no frame is bias-subtracted.  The read
     std is recovered from the photon-transfer intercept by removing the row
     variance.  The returned tuple always satisfies the parameter invariants
-    (K floored at ``GAIN_FLOOR``, sigmas at zero).  The darks are any
-    iterable of packed frames, or their stack, and are reduced in one pass
-    holding one frame; the flats are held one level at a time.
+    (K floored at ``GAIN_FLOOR``, sigmas at zero).  The darks, and the
+    flats of each level, are any iterable of packed frames, or their stack,
+    and each set is reduced in one pass that holds one frame at a time.
     """
     darks = _dark_statistics(dark_frames)
     # Each estimator is still called once (the benchmark traces each as a

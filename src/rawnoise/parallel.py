@@ -3,7 +3,10 @@
 Each unit draws on a random stream of its own (see ``streams``) and writes
 only its own outputs, so the order in which threads run the units changes
 no byte of the result.  numpy releases the interpreter lock inside its
-samplers and array loops, which is where the units spend their time.
+samplers and array loops, but the units also spend time in Python that
+holds it: on a 2-vCPU Xeon host with one BLAS thread, the 256-triplet
+draw ran 1.33-1.45x faster on two CPUs than on one, where a GEMM control
+through the same runner ran 1.70-1.97x.
 """
 
 from __future__ import annotations

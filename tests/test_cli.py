@@ -322,6 +322,52 @@ class TestGenDatasetAndOracle:
         frame_bytes = 4 * 64 * 64 * 8
         assert abs(peaks[1] - peaks[0]) < frame_bytes, f"peaks {peaks} differ by over one frame"
 
+    def test_oracle_memory_does_not_grow_with_the_flat_count(self, tmp_path):
+        """Each flat level is reduced one frame at a time: 16 flats a level of
+        4x64x64 peak within one frame (128 KiB) of 4 flats, with the same darks."""
+        params = '{"K": 1.0, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
+        frames = ["--params", params, "--height", 64, "--width", 64]
+        assert run("gen-dataset", "--out", tmp_path / "darks", "--seed", 2, "--mode", "dark",
+                   "--count", 4, *frames) == 0
+        peaks = []
+        for count in (4, 16):
+            flats = tmp_path / f"flats_{count}"
+            assert run("gen-dataset", "--out", flats, "--seed", 1, "--mode", "flat",
+                       "--count", count, "--levels", "4,16,64", *frames) == 0
+            tracemalloc.start()
+            try:
+                assert run("estimate", "--oracle", "--flat-series", flats,
+                           "--dark", tmp_path / "darks", "--out", tmp_path / "est.json") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        frame_bytes = 4 * 64 * 64 * 8
+        assert abs(peaks[1] - peaks[0]) < frame_bytes, f"peaks {peaks} differ by over one frame"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape, level", [
+        ((4, 0, 16), 0.0), ((4, 16, 16), np.nan), ((4, 16, 16), np.inf), ((4, 16, 16), -5.0),
+    ], ids=["empty", "nan", "inf", "negative"])
+    def test_oracle_refuses_a_bad_level_reference(self, tmp_path, capsys, shape, level):
+        """A clean.nraw that is empty, non-finite or negative exits 2 with DOMAIN
+        naming the file, as gen-dataset refuses such levels, and writes nothing."""
+        frames = ["--params", PARAMS_JSON, "--height", 16, "--width", 16]
+        assert run("gen-dataset", "--out", tmp_path / "flats", "--seed", 1, "--mode", "flat",
+                   "--count", 2, "--levels", "4,16", *frames) == 0
+        assert run("gen-dataset", "--out", tmp_path / "darks", "--seed", 2, "--mode", "dark",
+                   "--count", 2, *frames) == 0
+        clean = tmp_path / "flats" / "level_00" / "clean.nraw"
+        write_tensor(clean, np.zeros(shape))
+        # NRAW writers refuse non-finite values, so the payload is put in by hand.
+        raw, payload = clean.read_bytes(), np.full(shape, level, dtype="<f4").tobytes()
+        clean.write_bytes(raw[:len(raw) - len(payload)] + payload)
+        assert run("estimate", "--oracle", "--flat-series", tmp_path / "flats",
+                   "--dark", tmp_path / "darks", "--out", tmp_path / "est.json") == 2
+        assert capsys.readouterr().err.strip() == (
+            f"DOMAIN: {clean} must hold a finite, non-negative flat level"
+        )
+        assert not (tmp_path / "est.json").exists()
+
     @pytest.mark.parametrize("shapes, expected", [
         ([(3, 16, 16)], "SHAPE: dark frames must be packed (4, H, W) frames, got (3, 16, 16)"),
         ([(4, 16, 4)], "DOMAIN: row noise needs packed width >= 8, got 4"),

@@ -8,7 +8,7 @@ import pytest
 from rawnoise.errors import DomainError, InsufficientDataError, ShapeError
 from rawnoise.noise_core import NoiseParams, synthesize_noise
 from rawnoise.oracle import (
-    _frame_stack,
+    _checked_frames,
     estimate_color_bias,
     estimate_gain_and_read,
     estimate_params_oracle,
@@ -22,6 +22,11 @@ DARK_ESTIMATORS = {
     "bias": estimate_color_bias,
     "row_sigma": estimate_row_sigma,
     "oracle": lambda darks: estimate_params_oracle(FLATS, darks),
+}
+# Each flat-series estimator, called with a flat series only.
+FLAT_ESTIMATORS = {
+    "gain_and_read": estimate_gain_and_read,
+    "oracle": lambda series: estimate_params_oracle(series, [np.zeros((4, 16, 16))] * 2),
 }
 
 
@@ -227,6 +232,41 @@ class TestFirstBadDarkFrame:
         assert len(pulled) == len(shapes)
 
 
+def pulled_through(frames, pulled):
+    """A generator of ``frames`` that appends each frame to ``pulled`` as it is read."""
+    for frame in frames:
+        pulled.append(frame)
+        yield frame
+
+
+class TestFirstBadFlatFrame:
+    """A flat level is refused at its first bad frame, before the next frame or level is read."""
+
+    CASES = {
+        "unpacked_first": ([(3, 16, 16)], ShapeError, "flats of level 5.0 must be packed"),
+        "mixed_third": (
+            [(4, 16, 16), (4, 16, 16), (4, 16, 32)],
+            ShapeError,
+            "flats of level 5.0 differ in shape: frame 2 is (4, 16, 32), frame 0 is (4, 16, 16)",
+        ),
+        "non_finite_second": (
+            [(4, 16, 16), None], DomainError, "flats of level 5.0 contain non-finite values"
+        ),
+    }
+
+    @pytest.mark.parametrize("estimator", sorted(FLAT_ESTIMATORS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_at_the_first_bad_frame(self, estimator, case):
+        shapes, error, message = self.CASES[case]
+        frames = [np.zeros(shape) if shape else np.full((4, 16, 16), np.nan) for shape in shapes]
+        frames += [np.zeros((4, 16, 16))] * 5  # never read
+        pulled = []
+        series = [(level, pulled_through(f, pulled)) for level, f in [(5.0, frames), *FLATS]]
+        with pytest.raises(error, match=re.escape(message)):
+            FLAT_ESTIMATORS[estimator](series)
+        assert len(pulled) == len(shapes)
+
+
 class TestEstimatorProperties:
     def test_order_independence(self):
         """Permuting frames leaves every estimate bit-identical."""
@@ -251,8 +291,9 @@ class TestEstimatorProperties:
         stacked = [(level, np.stack(frames)) for level, frames in series]
         dark_stack = np.stack(darks)
 
-        frames = _frame_stack(dark_stack, "dark frames")
-        assert all(np.shares_memory(frame, dark_stack) for frame in frames)
+        for stack in (dark_stack, *(frames for _, frames in stacked)):
+            views = _checked_frames(stack, "frames")
+            assert all(np.shares_memory(view, stack) for view in views)
         assert estimate_params_oracle(stacked, dark_stack) == estimate_params_oracle(series, darks)
 
     @pytest.mark.parametrize("estimator", sorted(DARK_ESTIMATORS))

@@ -399,11 +399,19 @@ def _cmd_gen_dataset(args) -> int:
 # eval-kl
 
 
+def _read_finite(path) -> np.ndarray:
+    """The tensor at ``path``; DomainError naming the file if a value is not finite."""
+    array = read_tensor(path)
+    if not np.isfinite(array).all():
+        raise DomainError(f"{path} holds a value that is not finite")
+    return array
+
+
 def _cmd_eval_kl(args) -> int:
-    real = read_tensor(args.real)
-    synth = read_tensor(args.synth)
+    real = _read_finite(args.real)
+    synth = _read_finite(args.synth)
     if args.clean:
-        clean = read_tensor(args.clean)
+        clean = _read_finite(args.clean)
         if clean.shape != real.shape or clean.shape != synth.shape:
             raise DomainError("--clean shape must match both inputs")
         real = real - clean

@@ -13,6 +13,11 @@ Patches are planar 4-channel RGGB-packed arrays shaped ``(4, H, W)`` in
 channel order (R, Gr, Gb, B); packed row ``j`` of channels (R, Gr) comes
 from physical bayer row ``2j`` and packed row ``j`` of (Gb, B) from row
 ``2j + 1``.  All arithmetic is 64-bit.
+
+This module owns that packing: :func:`packed_shape` is the one shape rule
+every layer checks a packed patch or frame against, :func:`sample_row`
+writes the channel-to-row mapping, and :func:`physical_row_means` and
+:func:`physical_col_means` read it back.
 """
 
 from __future__ import annotations
@@ -65,27 +70,25 @@ class NoiseSample:
     total: np.ndarray
 
 
+def packed_shape(shape, what: str = "patch") -> tuple[int, int, int]:
+    """``shape`` as a packed ``(4, H, W)`` with ``H, W >= 1``; ShapeError otherwise."""
+    shape = tuple(int(s) for s in shape)
+    if len(shape) != 3 or shape[0] != NUM_CHANNELS or min(shape) < 1:
+        raise ShapeError(f"{what} must be packed (4, H, W) frames, got {shape}")
+    return shape
+
+
 def as_patch(data) -> np.ndarray:
     """Validate and return a float64 4-channel packed patch.
 
-    Raises ShapeError for anything that is not ``(4, H, W)`` with
-    ``H, W >= 1``, and DomainError for non-finite values.
+    Raises ShapeError for anything :func:`packed_shape` refuses, and
+    DomainError for non-finite values.
     """
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] != NUM_CHANNELS:
-        raise ShapeError(f"patch must be shaped (4, H, W), got {arr.shape}")
-    if arr.shape[1] < 1 or arr.shape[2] < 1:
-        raise ShapeError(f"patch spatial dims must be >= 1, got {arr.shape}")
+    packed_shape(arr.shape)
     if not np.all(np.isfinite(arr)):
         raise DomainError("patch contains non-finite values")
     return arr
-
-
-def _check_patch_shape(shape) -> tuple[int, int, int]:
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 3 or shape[0] != NUM_CHANNELS or shape[1] < 1 or shape[2] < 1:
-        raise ShapeError(f"expected a packed patch shape (4, H, W), got {shape}")
-    return shape
 
 
 def sample_shot(clean: np.ndarray, K: float, rng: np.random.Generator) -> np.ndarray:
@@ -130,7 +133,7 @@ def sample_row(shape, sigma_r: float, rng: np.random.Generator) -> np.ndarray:
     and the offset of row ``2j + 1`` fills packed row ``j`` of (Gb, B).
     Offsets are drawn in physical row order.
     """
-    _, height, width = _check_patch_shape(shape)
+    _, height, width = packed_shape(shape)
     if not (sigma_r >= 0 and math.isfinite(sigma_r)):
         raise DomainError(f"sigma_r must be non-negative, got {sigma_r}")
     offsets = rng.normal(loc=0.0, scale=sigma_r, size=2 * height)
@@ -142,6 +145,20 @@ def sample_row(shape, sigma_r: float, rng: np.random.Generator) -> np.ndarray:
     out[2] = odd
     out[3] = odd
     return out
+
+
+def physical_row_means(frame: np.ndarray) -> np.ndarray:
+    """Means of the 2H physical bayer rows of one packed frame, even rows first."""
+    upper = frame[0:2].mean(axis=(0, 2))  # bayer rows 2j: channels R, Gr
+    lower = frame[2:4].mean(axis=(0, 2))  # bayer rows 2j+1: channels Gb, B
+    return np.concatenate([upper, lower])
+
+
+def physical_col_means(frame: np.ndarray) -> np.ndarray:
+    """Means of the 2W physical bayer columns of one packed frame, even columns first."""
+    even = frame[0::2].mean(axis=(0, 1))  # bayer cols 2i: channels R, Gb
+    odd = frame[1::2].mean(axis=(0, 1))  # bayer cols 2i+1: channels Gr, B
+    return np.concatenate([even, odd])
 
 
 def synthesize_noise(

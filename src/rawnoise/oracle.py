@@ -10,7 +10,9 @@ bias-subtracted.  No learning is involved, so the composed estimate
 doubles as the ground-truth oracle for the learned estimator.
 
 A frame set (the dark frames, or the flats of one level) is any iterable
-of float64 ``(4, H, W)`` frames of one shape, or their stack.  Every set
+of float64 ``(4, H, W)`` frames of one shape, or their stack; the packed
+layout, its shape rule and its physical row and column means are
+``noise_core``'s, and this module keeps only the statistics.  Every set
 is read, checked and reduced one frame at a time, in one pass: each frame
 gives a few per-frame values (its sum, and its row and column variances
 or its within-frame sum of squares) and is dropped once the next has been
@@ -24,13 +26,12 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterator
-from typing import NamedTuple
 
 import numpy as np
 
 from .calibration import ols_line
 from .errors import DomainError, InsufficientDataError, ShapeError
-from .noise_core import NUM_CHANNELS, NoiseParams
+from .noise_core import NoiseParams, packed_shape, physical_col_means, physical_row_means
 
 logger = logging.getLogger(__name__)
 
@@ -39,13 +40,6 @@ logger = logging.getLogger(__name__)
 GAIN_FLOOR = 1e-12
 
 MIN_PACKED_WIDTH = 8  # 16 physical columns
-
-
-class _DarkStatistics(NamedTuple):
-    """A dark set reduced by ``_dark_statistics``."""
-
-    mu_c: float
-    sigma_r: float
 
 
 def _checked_frames(frames, what: str) -> Iterator[np.ndarray]:
@@ -59,9 +53,7 @@ def _checked_frames(frames, what: str) -> Iterator[np.ndarray]:
     for index, frame in enumerate(frames):
         frame = np.asarray(frame, dtype=np.float64)
         if shape is None:
-            shape = frame.shape
-            if len(shape) != 3 or shape[0] != NUM_CHANNELS or 0 in shape[1:]:
-                raise ShapeError(f"{what} must be packed (4, H, W) frames, got {shape}")
+            shape = packed_shape(frame.shape, what)
         elif frame.shape != shape:
             raise ShapeError(
                 f"{what} differ in shape: frame {index} is {frame.shape}, frame 0 is {shape}"
@@ -75,20 +67,6 @@ def _sorted_sum(values) -> float:
     # Adding the per-frame values in sorted order makes the total, and so
     # every estimate, bit-identical under any permutation of the frames.
     return float(np.sort(values).sum())
-
-
-def _physical_row_means(frame: np.ndarray) -> np.ndarray:
-    """Means of the 2H physical bayer rows of one packed frame."""
-    upper = frame[0:2].mean(axis=(0, 2))  # bayer rows 2j: channels R, Gr
-    lower = frame[2:4].mean(axis=(0, 2))  # bayer rows 2j+1: channels Gb, B
-    return np.concatenate([upper, lower])
-
-
-def _physical_col_means(frame: np.ndarray) -> np.ndarray:
-    """Means of the 2W physical bayer columns of one packed frame."""
-    even = frame[0::2].mean(axis=(0, 1))  # bayer cols 2i: channels R, Gb
-    odd = frame[1::2].mean(axis=(0, 1))  # bayer cols 2i+1: channels Gr, B
-    return np.concatenate([even, odd])
 
 
 def estimate_gain_and_read(flat_series) -> tuple[float, float]:
@@ -133,18 +111,15 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
     return slope, math.sqrt(intercept)
 
 
-def _dark_statistics(dark_frames) -> _DarkStatistics:
-    """The color bias and the row-noise std of a dark set, in one pass.
+def _dark_statistics(dark_frames) -> tuple[float, float]:
+    """The color bias and the row-noise std ``(mu_c, sigma_r)`` of a dark set, in one pass.
 
     Each frame is read, checked and reduced to its sum and the ``ddof=1``
     variances of its physical-row and physical-column means, and is dropped
     once the next has been read, so memory does not grow with the number
     of frames.  A first frame narrower than ``MIN_PACKED_WIDTH`` is refused
-    with DomainError before the next is read.  A set this function reduced
-    is handed back as it is.
+    with DomainError before the next is read.
     """
-    if isinstance(dark_frames, _DarkStatistics):
-        return dark_frames
     sums, row_variances, col_variances = [], [], []
     for frame in _checked_frames(dark_frames, "dark frames"):
         if not sums:
@@ -154,8 +129,8 @@ def _dark_statistics(dark_frames) -> _DarkStatistics:
                     f"row noise needs packed width >= {MIN_PACKED_WIDTH}, got {width}"
                 )
         sums.append(frame.sum())
-        row_variances.append(np.var(_physical_row_means(frame), ddof=1))
-        col_variances.append(np.var(_physical_col_means(frame), ddof=1))
+        row_variances.append(np.var(physical_row_means(frame), ddof=1))
+        col_variances.append(np.var(physical_col_means(frame), ddof=1))
     if not sums:
         raise InsufficientDataError("need at least 1 dark frames, got 0")
 
@@ -164,7 +139,7 @@ def _dark_statistics(dark_frames) -> _DarkStatistics:
     v_col = _sorted_sum(col_variances) / count
     sigma_sq = 2 * height * v_col
     sigma_r = math.sqrt(max(0.0, v_row - sigma_sq / (2 * width)))
-    return _DarkStatistics(mu_c=_sorted_sum(sums) / (count * size), sigma_r=sigma_r)
+    return _sorted_sum(sums) / (count * size), sigma_r
 
 
 def estimate_row_sigma(dark_frames) -> float:
@@ -176,12 +151,12 @@ def estimate_row_sigma(dark_frames) -> float:
     ``sigma^2 / H`` (the shared row offsets cancel out of the within-frame
     spread).  The corrected value is floored at zero before the root.
     """
-    return _dark_statistics(dark_frames).sigma_r
+    return _dark_statistics(dark_frames)[1]
 
 
 def estimate_color_bias(dark_frames) -> float:
     """Global mean of all dark-frame pixels."""
-    return _dark_statistics(dark_frames).mu_c
+    return _dark_statistics(dark_frames)[0]
 
 
 def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
@@ -195,12 +170,7 @@ def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
     flats of each level, are any iterable of packed frames, or their stack,
     and each set is reduced in one pass that holds one frame at a time.
     """
-    darks = _dark_statistics(dark_frames)
-    # Each estimator is still called once (the benchmark traces each as a
-    # layer), and both read the one reduction.
-    mu_c = estimate_color_bias(darks)
-    sigma_r = estimate_row_sigma(darks)
-
+    mu_c, sigma_r = _dark_statistics(dark_frames)
     gain, sigma_total = estimate_gain_and_read(flat_series)
     sigma = math.sqrt(max(0.0, sigma_total**2 - sigma_r**2))
 

@@ -22,15 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .noise_core import NUM_CHANNELS
+from .noise_core import NUM_CHANNELS, packed_shape
 
 
 def haar_dwt2(patch: np.ndarray) -> np.ndarray:
     """Forward transform: ``(..., 4, H, W) -> (..., 16, H/2, W/2)``, H and W even."""
     patch = np.asarray(patch, dtype=np.float64)
-    if patch.ndim < 3 or patch.shape[-3] != NUM_CHANNELS:
-        raise ShapeError(f"expected a (..., 4, H, W) patch, got {patch.shape}")
-    height, width = patch.shape[-2:]
+    _, height, width = packed_shape(patch.shape[-3:])
     if height % 2 or width % 2:
         raise ShapeError(f"Haar transform needs even dims, got {height}x{width}")
 

@@ -1,13 +1,25 @@
-"""Shared fixtures; the expensive toy training run happens once per session."""
+"""Shared fixtures; the expensive toy training run happens once per session.
+
+The toy model trains in a child process (this file run as a script) that
+starts once collection is done, so the other tests run beside it on the
+second CPU; the tests that use ``toy_run`` are moved to the end of the run.
+"""
 
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import rawnoise
 from rawnoise import synthetic
 from rawnoise.estimator import (
     ConvStage,
@@ -107,29 +119,91 @@ def toy_config() -> EstimatorConfig:
     )
 
 
-@pytest.fixture(scope="session")
-def toy_run():
-    """Train the toy estimator once; later tests reuse every artifact."""
-    config = toy_config()
-    scenes = synthetic.make_scene_pool(
+def _toy_scenes(config: EstimatorConfig):
+    return synthetic.make_scene_pool(
         derive_stream(TOY_SEED, 4), 64, config.patch_height, config.patch_width
     )
-    bank = synthetic.default_camera_bank()
 
+
+def _train_toy(out_dir: Path) -> None:
+    """Train ``toy_config()``; save its final and stage-1 checkpoints in ``out_dir``."""
+    config = toy_config()
+    stage_snapshots = {}
+    checkpoint = train(
+        config,
+        _toy_scenes(config),
+        synthetic.default_camera_bank(),
+        on_stage_end=lambda stage, params: stage_snapshots.__setitem__(stage, params),
+    )
+    checkpoint.save(out_dir / "final.nest")
+    EstimatorCheckpoint(config=config, params=stage_snapshots[1]).save(out_dir / "stage1.nest")
+
+
+# The running toy-training child and its output directory, once started.
+TOY_CHILD = pytest.StashKey[tuple[subprocess.Popen, Path]]()
+TOY_TIMEOUT_S = 600
+
+
+def _start_toy_child(config) -> tuple[subprocess.Popen, Path]:
+    out_dir = Path(tempfile.mkdtemp(prefix="rawnoise-toy-"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(rawnoise.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(out_dir / "stderr.txt", "wb") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, __file__, str(out_dir)],
+            env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+        )
+    config.stash[TOY_CHILD] = process, out_dir
+    return process, out_dir
+
+
+def _stop_toy_child(config) -> None:
+    process, out_dir = config.stash[TOY_CHILD]
+    del config.stash[TOY_CHILD]
+    process.kill()  # a no-op once it has exited
+    process.wait()
+    shutil.rmtree(out_dir, ignore_errors=True)
+
+
+def _uses_toy_run(item) -> bool:
+    return "toy_run" in getattr(item, "fixturenames", ())
+
+
+@pytest.hookimpl(trylast=True)  # after ``-k``/``-m`` have deselected
+def pytest_collection_modifyitems(config, items):
+    items.sort(key=_uses_toy_run)  # stable: the toy_run tests go last
+    if any(map(_uses_toy_run, items)) and not config.option.collectonly:
+        _start_toy_child(config)
+
+
+def pytest_sessionfinish(session):
+    if TOY_CHILD in session.config.stash:
+        _stop_toy_child(session.config)
+
+
+@pytest.fixture(scope="session")
+def toy_run(pytestconfig):
+    """The toy estimator trained once; later tests reuse every artifact."""
+    process, out_dir = (
+        pytestconfig.stash.get(TOY_CHILD, None) or _start_toy_child(pytestconfig)
+    )
+    try:
+        if process.wait(timeout=TOY_TIMEOUT_S) != 0:
+            stderr = (out_dir / "stderr.txt").read_text(errors="replace")
+            pytest.fail(f"toy training exited {process.returncode}:\n{stderr}")
+        checkpoint = EstimatorCheckpoint.load(out_dir / "final.nest")
+        stage1_checkpoint = EstimatorCheckpoint.load(out_dir / "stage1.nest")
+    finally:
+        _stop_toy_child(pytestconfig)
+
+    config = toy_config()
+    scenes = _toy_scenes(config)
+    bank = synthetic.default_camera_bank()
     init_net = EstimatorNetwork.initialize(config)
     init_checkpoint = EstimatorCheckpoint(
         config=config, params={k: v.copy() for k, v in init_net.params.items()}
     )
-
-    stage_snapshots = {}
-    checkpoint = train(
-        config,
-        scenes,
-        bank,
-        on_stage_end=lambda stage, params: stage_snapshots.__setitem__(stage, params),
-    )
-    stage1_checkpoint = EstimatorCheckpoint(config=config, params=stage_snapshots[1])
-
     heldout = make_triplet_batch(scenes, bank, derive_stream(999, 0), 300)
     # The training set's anchor tuples: each triplet stream draws its tuple first.
     train_params = tuple(
@@ -147,3 +221,7 @@ def toy_run():
         "heldout": heldout,
         "train_params": train_params,
     }
+
+
+if __name__ == "__main__":
+    _train_toy(Path(sys.argv[1]))

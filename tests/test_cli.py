@@ -549,6 +549,21 @@ class TestEvalKL:
         assert run("eval-kl", "--real", path, "--synth", path, "--range", lo, hi) == 0
         assert json.loads(capsys.readouterr().out)["range"] == [float(lo), float(hi)]
 
+    @pytest.mark.parametrize("flag", ["--real", "--synth", "--clean"])
+    def test_non_finite_input_is_named(self, tmp_path, capsys, flag):
+        """A NaN in any input exits 2 with DOMAIN naming that file, not the histogram range."""
+        paths = {name: tmp_path / f"{name[2:]}.nraw" for name in ("--real", "--synth", "--clean")}
+        for path in paths.values():
+            write_tensor(path, np.zeros((4, 8, 8)))
+        # NRAW writers refuse non-finite values, so the payload is put in by hand.
+        raw, payload = paths[flag].read_bytes(), np.full((4, 8, 8), np.nan, dtype="<f4").tobytes()
+        paths[flag].write_bytes(raw[:len(raw) - len(payload)] + payload)
+        argv = [arg for name, path in paths.items() for arg in (name, path)]
+        assert run("eval-kl", *argv) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"DOMAIN: {paths[flag]} holds a value that is not finite"
+        )
+
     def test_range_needs_two_values(self, tmp_path, capsys):
         path = tmp_path / "samples.nraw"
         write_tensor(path, np.zeros((4, 8, 8)))

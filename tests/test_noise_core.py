@@ -1,5 +1,6 @@
 """Statistical and structural contracts of the noise samplers."""
 
+import copy
 import math
 
 import numpy as np
@@ -11,12 +12,16 @@ from rawnoise.noise_core import (
     NoiseParams,
     add_noise,
     as_patch,
+    physical_col_means,
+    physical_row_means,
     sample_read,
     sample_row,
     sample_shot,
     synthesize_noise,
 )
+from rawnoise.oracle import estimate_color_bias
 from rawnoise.streams import derive_stream
+from rawnoise.wavelets import haar_dwt2
 
 
 class TestNoiseParams:
@@ -164,6 +169,40 @@ class TestSampleRow:
     def test_non_patch_shape_rejected(self):
         with pytest.raises(ShapeError):
             sample_row((16, 16), 1.0, np.random.default_rng(13))
+
+
+def test_physical_means_read_back_the_row_offsets():
+    """``physical_row_means`` returns sample_row's offsets, even bayer rows
+    first, and ``physical_col_means`` sees the same mean in every column."""
+    rng = derive_stream(14, 0)
+    clone = copy.deepcopy(rng)
+    row = sample_row((4, 6, 10), 1.5, rng)
+    offsets = clone.normal(loc=0.0, scale=1.5, size=12)
+    np.testing.assert_allclose(
+        physical_row_means(row), np.concatenate([offsets[0::2], offsets[1::2]]), rtol=1e-12
+    )
+    np.testing.assert_allclose(physical_col_means(row), np.full(20, offsets.mean()), rtol=1e-12)
+
+
+# Every layer that takes one packed patch or frame checks it by the same rule.
+PACKED_CHECKS = {
+    "as_patch": lambda shape: as_patch(np.zeros(shape)),
+    "sample_row": lambda shape: sample_row(shape, 1.0, np.random.default_rng(0)),
+    "haar_dwt2": lambda shape: haar_dwt2(np.zeros(shape)),
+    "estimate_color_bias": lambda shape: estimate_color_bias([np.zeros(shape)]),
+}
+
+
+@pytest.mark.parametrize("shape, check", [
+    (shape, check)
+    for shape in [(3, 8, 8), (4, 0, 8), (4, 8), (2, 4, 8, 8)]
+    for check in PACKED_CHECKS
+    # haar_dwt2 takes a (..., 4, H, W) batch, to which (2, 4, 8, 8) is two patches.
+    if not (check == "haar_dwt2" and len(shape) == 4)
+])
+def test_unpacked_shapes_are_refused_everywhere(shape, check):
+    with pytest.raises(ShapeError, match=r"must be packed \(4, H, W\) frames"):
+        PACKED_CHECKS[check](shape)
 
 
 class TestSynthesizeNoise:

@@ -102,6 +102,8 @@ def test_oracle_hooks_resolve_and_record_one_call_each():
     tracer.install(hooks)
     try:
         params = oracle.estimate_params_oracle(flats, darks)
+        oracle.estimate_color_bias(darks)
+        oracle.estimate_row_sigma(darks)
     finally:
         tracer.uninstall()
 

@@ -1,5 +1,6 @@
 """Training-loop determinism, staging, and the joint loss composition."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -168,3 +169,13 @@ class TestTotalLossOps:
         config, checkpoint, batch, _ = self._setup()
         grads = backward(batch, checkpoint)
         assert set(grads) == set(parameter_shapes(config))
+
+
+# sha256 of the toy checkpoint's bytes; a declared change to the training
+# arithmetic records its new value here.
+TOY_CHECKPOINT_SHA256 = "c69e9bc86abcfb844adfcf827698b381f84512094ed9f80ea644f1fe3ae07e7e"
+
+
+def test_toy_checkpoint_keeps_its_recorded_bytes(toy_run):
+    """The toy model trained in the session's child process has the recorded bytes."""
+    assert hashlib.sha256(toy_run["checkpoint"].to_bytes()).hexdigest() == TOY_CHECKPOINT_SHA256

@@ -182,8 +182,8 @@ def _read_flat_series(root) -> list[tuple[float, Iterator[np.ndarray]]]:
         if not clean_path.exists():
             raise InsufficientDataError(f"{level_dir} has no clean.nraw level reference")
         clean = read_tensor(clean_path)
-        # An empty or non-finite reference has no level; its mean would warn.
-        level = float(clean.mean()) if clean.size and np.isfinite(clean).all() else math.nan
+        # An empty reference has no level; its mean would warn.
+        level = float(clean.mean()) if clean.size else math.nan
         if not 0 <= level < math.inf:  # the levels gen-dataset accepts
             raise DomainError(f"{clean_path} must hold a finite, non-negative flat level")
         series.append((level, _read_noisy_frames(level_dir)))
@@ -399,19 +399,11 @@ def _cmd_gen_dataset(args) -> int:
 # eval-kl
 
 
-def _read_finite(path) -> np.ndarray:
-    """The tensor at ``path``; DomainError naming the file if a value is not finite."""
-    array = read_tensor(path)
-    if not np.isfinite(array).all():
-        raise DomainError(f"{path} holds a value that is not finite")
-    return array
-
-
 def _cmd_eval_kl(args) -> int:
-    real = _read_finite(args.real)
-    synth = _read_finite(args.synth)
+    real = read_tensor(args.real)
+    synth = read_tensor(args.synth)
     if args.clean:
-        clean = _read_finite(args.clean)
+        clean = read_tensor(args.clean)
         if clean.shape != real.shape or clean.shape != synth.shape:
             raise DomainError("--clean shape must match both inputs")
         real = real - clean

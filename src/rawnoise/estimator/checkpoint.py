@@ -101,8 +101,8 @@ class EstimatorCheckpoint:
                 raise BadCheckpointError(f"corrupt checkpoint tensor table: {exc}") from exc
             if name in params:
                 raise BadCheckpointError(f"duplicate checkpoint tensor {name}")
-            params[name], offset = unpack_tensor(raw, offset + 4 + name_len, "<f8",
-                                                 BadCheckpointError)
+            tensor, offset = unpack_tensor(raw, offset + 4 + name_len, "<f8", BadCheckpointError)
+            params[name] = tensor.astype(np.float64)
         return cls(config=config, params=params, metadata=metadata)
 
     def save(self, path) -> None:

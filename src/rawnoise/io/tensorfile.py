@@ -11,10 +11,10 @@ An NRAW file is one record behind a fixed header, with nothing after it:
 The only dtype code is 1 (32-bit float, little-endian).  Storage is 32-bit
 for economy while all computation stays in 64-bit: readers upcast on load,
 and since every float32 is exactly representable as float64 the
-write/read/write round trip is bit-exact.  Every stored value is finite: a
-tensor that is not finite as float32 is refused before anything is written.
-NEST checkpoints store their tensors as named float64 records
-(``estimator.checkpoint``).
+write/read/write round trip is bit-exact.  Every stored value is finite:
+writers refuse a tensor that is not finite as float32, and readers refuse a
+payload that holds NaN or an infinity.  NEST checkpoints store their tensors
+as named float64 records (``estimator.checkpoint``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ def pack_tensor(array: np.ndarray, dtype: str) -> bytes:
 def unpack_tensor(
     raw: bytes, offset: int, dtype: str, error: type[FileFormatError]
 ) -> tuple[np.ndarray, int]:
-    """Decode the record at ``raw[offset:]`` as float64; return it and the offset after it.
+    """Decode the record at ``raw[offset:]`` as a read-only ``dtype`` view of ``raw``.
 
-    A truncated record, or dims the payload cannot be reshaped to, raise ``error``.
+    Returns the view and the offset after it; a truncated record, or dims
+    the payload cannot be reshaped to, raise ``error``.
     """
     try:
         (rank,) = struct.unpack_from("<I", raw, offset)
@@ -65,7 +66,7 @@ def unpack_tensor(
         tensor = np.frombuffer(raw, dtype=dtype, count=count, offset=start).reshape(dims)
     except ValueError as exc:
         raise error(f"tensor dims {dims} cannot be read: {exc}") from exc
-    return tensor.astype(np.float64), end
+    return tensor, end
 
 
 def _nraw_chunks(array: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -86,6 +87,7 @@ def tensor_to_bytes(array: np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(raw: bytes) -> np.ndarray:
+    """Decode an NRAW file as float64; DomainError if a value is not finite."""
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise BadTensorFileError("not an NRAW tensor file (bad magic)")
     version, dtype_code = struct.unpack_from("<II", raw, 4)
@@ -96,7 +98,9 @@ def tensor_from_bytes(raw: bytes) -> np.ndarray:
     tensor, end = unpack_tensor(raw, 12, "<f4", BadTensorFileError)
     if end != len(raw):
         raise BadTensorFileError(f"{len(raw) - end} trailing bytes after the tensor payload")
-    return tensor
+    if not np.isfinite(tensor).all():
+        raise DomainError("NRAW payload holds a value that is not finite")
+    return tensor.astype(np.float64)
 
 
 def write_tensor(path, array: np.ndarray, exclusive: bool = False) -> None:
@@ -105,4 +109,8 @@ def write_tensor(path, array: np.ndarray, exclusive: bool = False) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    return tensor_from_bytes(Path(path).read_bytes())
+    """The NRAW file at ``path`` as float64; DomainError naming it if a value is not finite."""
+    try:
+        return tensor_from_bytes(Path(path).read_bytes())
+    except DomainError:
+        raise DomainError(f"{path} holds a value that is not finite") from None

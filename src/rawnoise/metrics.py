@@ -65,8 +65,9 @@ def build_histogram(
     """Bin samples uniformly over ``value_range`` and normalize by count.
 
     Values outside the range are clipped into the boundary bins; NaN and
-    infinite samples raise DomainError.  When no range is given the
-    scale-adaptive default is used.
+    infinite samples, and a range that cannot hold ``bins`` finite-sized
+    bins, raise DomainError.  When no range is given the scale-adaptive
+    default is used.
     """
     values = np.asarray(noise_values, dtype=np.float64).ravel()
     if values.size == 0:
@@ -80,6 +81,9 @@ def build_histogram(
     lo, hi = float(value_range[0]), float(value_range[1])
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"histogram range must be finite with lo < hi, got ({lo}, {hi})")
+    # numpy's own refusal of these ranges is a ValueError, after overflow warnings.
+    if not (hi - lo < math.inf and np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0)):
+        raise DomainError(f"histogram range ({lo}, {hi}) cannot hold {bins} finite-sized bins")
 
     counts, edges = np.histogram(np.clip(values, lo, hi), bins=bins, range=(lo, hi))
     return NoiseHistogram(edges=edges, masses=counts / values.size, count=int(values.size))

@@ -91,7 +91,9 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
         sums, squares = [], []
         for frame in _checked_frames(frames, what):
             sums.append(frame.sum())
-            squares.append(np.square(frame - sums[-1] / frame.size).sum())
+            deviations = frame - sums[-1] / frame.size
+            deviations *= deviations  # in place: one frame-sized temporary, not two
+            squares.append(deviations.sum())
         if len(sums) < 2:
             raise InsufficientDataError(f"need at least 2 {what}, got {len(sums)}")
         # Deviations from the level mean are the within-frame ones plus each

@@ -350,7 +350,8 @@ class TestGenDatasetAndOracle:
     ], ids=["empty", "nan", "inf", "negative"])
     def test_oracle_refuses_a_bad_level_reference(self, tmp_path, capsys, shape, level):
         """A clean.nraw that is empty, non-finite or negative exits 2 with DOMAIN
-        naming the file, as gen-dataset refuses such levels, and writes nothing."""
+        naming the file, as gen-dataset refuses such levels, and writes nothing.
+        The NRAW reader refuses the non-finite ones before a level is taken."""
         frames = ["--params", PARAMS_JSON, "--height", 16, "--width", 16]
         assert run("gen-dataset", "--out", tmp_path / "flats", "--seed", 1, "--mode", "flat",
                    "--count", 2, "--levels", "4,16", *frames) == 0
@@ -363,9 +364,9 @@ class TestGenDatasetAndOracle:
         clean.write_bytes(raw[:len(raw) - len(payload)] + payload)
         assert run("estimate", "--oracle", "--flat-series", tmp_path / "flats",
                    "--dark", tmp_path / "darks", "--out", tmp_path / "est.json") == 2
-        assert capsys.readouterr().err.strip() == (
-            f"DOMAIN: {clean} must hold a finite, non-negative flat level"
-        )
+        reason = ("must hold a finite, non-negative flat level" if np.isfinite(level)
+                  else "holds a value that is not finite")
+        assert capsys.readouterr().err.strip() == f"DOMAIN: {clean} {reason}"
         assert not (tmp_path / "est.json").exists()
 
     @pytest.mark.parametrize("shapes, expected", [
@@ -571,6 +572,75 @@ class TestEvalKL:
             run("eval-kl", "--real", path, "--synth", path, "--range", "-1e3")
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("USAGE: ")
+
+
+def _synthesize_inputs(base) -> list:
+    write_tensor(base / "clean.nraw", np.full((4, 8, 8), 100.0))
+    return ["synthesize", "--clean", base / "clean.nraw", "--params", PARAMS_JSON,
+            "--seed", 1, "--out", base / "out.nraw"]
+
+
+def _estimate_inputs(base) -> list:
+    config = EstimatorConfig(
+        patch_height=8, patch_width=8, extractor=(ConvStage(3, 2, 2),), feature_dim=4,
+        projector=(3,), head=(3, 4),
+    )
+    EstimatorCheckpoint(config, EstimatorNetwork.initialize(config).params).save(
+        base / "model.nest")
+    write_tensor(base / "patch.nraw", np.full((4, 8, 8), 50.0))
+    return ["estimate", "--input", base / "patch.nraw", "--checkpoint", base / "model.nest",
+            "--out", base / "out.json"]
+
+
+def _oracle_inputs(base) -> list:
+    frames = ["--params", PARAMS_JSON, "--height", 16, "--width", 16]
+    assert run("gen-dataset", "--out", base / "flats", "--seed", 1, "--mode", "flat",
+               "--count", 2, "--levels", "4,16", *frames) == 0
+    assert run("gen-dataset", "--out", base / "darks", "--seed", 2, "--mode", "dark",
+               "--count", 2, *frames) == 0
+    return ["estimate", "--oracle", "--flat-series", base / "flats", "--dark", base / "darks",
+            "--out", base / "out.json"]
+
+
+def _eval_kl_inputs(base) -> list:
+    argv = ["eval-kl"]
+    for name in ("real", "synth", "clean"):
+        write_tensor(base / f"{name}.nraw", np.zeros((4, 8, 8)))
+        argv += [f"--{name}", base / f"{name}.nraw"]
+    return argv
+
+
+# Each NRAW input of the CLI: the command that reads it, and its file.
+NRAW_INPUTS = {
+    "synthesize_clean": (_synthesize_inputs, "clean.nraw"),
+    "estimate_input": (_estimate_inputs, "patch.nraw"),
+    "oracle_dark_frame": (_oracle_inputs, "darks/noisy_0001.nraw"),
+    "oracle_flat_frame": (_oracle_inputs, "flats/level_01/noisy_0000.nraw"),
+    "oracle_flat_clean": (_oracle_inputs, "flats/level_00/clean.nraw"),
+    "eval_kl_real": (_eval_kl_inputs, "real.nraw"),
+    "eval_kl_synth": (_eval_kl_inputs, "synth.nraw"),
+    "eval_kl_clean": (_eval_kl_inputs, "clean.nraw"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", sorted(NRAW_INPUTS))
+def test_non_finite_nraw_input_is_named(tmp_path, capsys, case, value):
+    """A non-finite payload in any NRAW input exits 2 with DOMAIN naming that
+    file, and nothing is written."""
+    build, name = NRAW_INPUTS[case]
+    argv = build(tmp_path)
+    path = tmp_path / name
+    # NRAW writers refuse non-finite values, so the payload is put in by hand.
+    raw, shape = path.read_bytes(), read_tensor(path).shape
+    payload = np.full(shape, value, dtype="<f4").tobytes()
+    path.write_bytes(raw[:len(raw) - len(payload)] + payload)
+    before = set(tmp_path.rglob("*"))
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert err.strip() == f"DOMAIN: {path} holds a value that is not finite"
+    assert out == ""
+    assert set(tmp_path.rglob("*")) == before
 
 
 class TestOutOfMemory:

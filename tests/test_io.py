@@ -66,6 +66,19 @@ class TestTensorFile:
                 write_tensor(path, np.array([[0.0, bad]]))
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_refused_on_reading(self, tmp_path, bad):
+        """Writers refuse such a payload, so it is put in by hand; reading names the file."""
+        raw = tensor_to_bytes(np.zeros((2, 3)))
+        raw = raw[:-4] + np.array([bad], dtype="<f4").tobytes()
+        with pytest.raises(DomainError, match="^NRAW payload holds a value that is not finite$"):
+            tensor_from_bytes(raw)
+        path = tmp_path / "t.nraw"
+        path.write_bytes(raw)
+        with pytest.raises(DomainError) as exc:
+            read_tensor(path)
+        assert str(exc.value) == f"{path} holds a value that is not finite"
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

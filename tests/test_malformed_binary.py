@@ -177,6 +177,10 @@ PROBES = {
         lambda base: _eval_kl(base, _nraw_float32(math.inf), "--range", -1, 1), "DOMAIN"),
     "eval_kl_range_infinite": (
         lambda base: _eval_kl(base, NRAW, "--range", 0, "inf"), "DOMAIN"),
+    "eval_kl_range_width_overflows": (
+        lambda base: _eval_kl(base, NRAW, "--range", -1e308, 1e308), "DOMAIN"),
+    "eval_kl_range_narrower_than_its_bins": (
+        lambda base: _eval_kl(base, NRAW, "--range", 1, 1.0000000000000002), "DOMAIN"),
     "oracle_dark_mixed_shapes": (lambda base: _oracle(base, MIXED, [(16, 16)] * 3), "SHAPE"),
     "oracle_flat_level_mixed_shapes": (lambda base: _oracle(base, [(16, 16)] * 3, MIXED), "SHAPE"),
     "calibrate_estimates_directory": (
@@ -197,6 +201,7 @@ def _tree(root) -> dict:
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(PROBES))
 def test_malformed_input_is_coded_exit_2(tmp_path, capsys, case):
     build, code = PROBES[case]

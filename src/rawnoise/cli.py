@@ -11,15 +11,14 @@ files atomically, and reports failures as a single machine-parsable line
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
 import json
 import math
 import re
+import shutil
 import sys
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -254,69 +253,21 @@ def _cmd_sample_params(args) -> int:
 # gen-dataset
 
 
-class _NewFiles(list):
-    """The files a command has created; a write onto an existing path raises FileExistsError.
-
-    Writes from several threads take turns: one file is written at a time.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def tensor(self, path: Path, array) -> None:
-        with self._lock:
-            write_tensor(path, array, exclusive=True)
-            self.append(path)
-
-    def json(self, path: Path, record: dict) -> None:
-        with self._lock:
-            save_json(path, record, exclusive=True)
-            self.append(path)
-
-    def manifest(self, path: Path, manifest: Manifest) -> None:
-        with self._lock:
-            manifest.save(path, exclusive=True)
-            self.append(path)
-
-
-@contextlib.contextmanager
-def _removed_on_failure(dirs):
-    """Yield a ``_NewFiles`` for the files a command writes under ``dirs``.
-
-    If the command fails, every file it created is deleted, and so is every
-    directory in ``dirs`` or above them that did not exist on entry; other
-    files and directories stay as they were.
-    """
-    created = []
-    for directory in dirs:
-        while not directory.exists() and directory not in created:
-            created.append(directory)
-            directory = directory.parent
-    written = _NewFiles()
-    try:
-        yield written
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for directory in sorted(created, key=lambda d: len(d.parts), reverse=True):
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise
-
-
-def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index, written) -> None:
+def _write_noisy(stem: Path, clean, params, rng, camera_id, seed, index) -> None:
     """Corrupt ``clean``, write ``<stem>.nraw`` and its ``<stem>.json`` manifest."""
-    written.tensor(stem.with_suffix(".nraw"), add_noise(clean, params, rng))
+    write_tensor(stem.with_suffix(".nraw"), add_noise(clean, params, rng))
     manifest = Manifest(camera_id=camera_id, params=params, seed=seed, stream_index=index)
-    written.manifest(stem.with_suffix(".json"), manifest)
+    manifest.save(stem.with_suffix(".json"))
 
 
 def _cmd_gen_dataset(args) -> int:
-    """Write the dataset tree without replacing any file; a refused run removes what it wrote.
+    """Write the dataset tree into a new ``--out``; a refused run removes what it created.
 
-    Patches, and frames, are drawn on streams of their own, so they are
-    generated in parallel (see ``parallel.run_units``) with the bytes of a serial run.
+    ``--out`` is claimed with one ``mkdir``, so an existing path is refused
+    with IO_ERROR before anything is written, and of two runs on one new
+    path only one proceeds.  Patches, and frames, are drawn on streams of
+    their own, so they are generated in parallel (see ``parallel.run_units``)
+    with the bytes of a serial run.
     """
     for flag in ("count", "height", "width"):
         if getattr(args, flag) < 1:
@@ -341,14 +292,12 @@ def _cmd_gen_dataset(args) -> int:
             )
         cameras = [(name, _load_camera(p)) for name, p in zip(ids, args.camera)]
         header["cameras"] = {name: model.as_dict() for name, model in cameras}
-        dirs = [out / "clean", out / "noisy"]
     else:
         params = _load_params_arg(args.params) if args.params else None
         if params is None:
             raise ConfigurationError(f"{args.mode} mode needs --params")
         header["params"] = params.as_dict()
         levels = [0.0]  # dark mode: zero illumination
-        dirs = [out]
     if args.mode == "flat":
         try:
             levels = [float(v) for v in args.levels.split(",")] if args.levels else []
@@ -359,39 +308,44 @@ def _cmd_gen_dataset(args) -> int:
         if not all(0 <= level < math.inf for level in levels):
             raise DomainError("flat levels must be finite and non-negative")
         header["levels"] = levels
-        dirs = [out / f"level_{j:02d}" for j in range(len(levels))]
 
     def patch(i):
         rng = derive_stream(args.seed, i)
         scene = synthetic.make_scene(rng, args.height, args.width, args.white_level)
         camera_id, camera = cameras[rng.integers(len(cameras))]
         params = calibration.sample_params(camera, rng)
-        written.tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
-        _write_noisy(
-            out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i, written
-        )
+        write_tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
+        _write_noisy(out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i)
 
     def frame(unit):
         # Each level is one clean.nraw, then --count noisy frames on streams
         # j * count + k, so level j's files are units j * (count + 1) onward.
         j, k = divmod(unit, args.count + 1)
+        directory = out / f"level_{j:02d}" if args.mode == "flat" else out
         clean = np.broadcast_to(levels[j], (4, args.height, args.width))
         if k == 0:
-            written.tensor(dirs[j] / "clean.nraw", clean)
+            write_tensor(directory / "clean.nraw", clean)
         else:
             index = j * args.count + k - 1
             rng = derive_stream(args.seed, index)
             _write_noisy(
-                dirs[j] / f"noisy_{k - 1:04d}", clean, params, rng, args.camera_id, args.seed,
-                index, written,
+                directory / f"noisy_{k - 1:04d}", clean, params, rng, args.camera_id, args.seed,
+                index,
             )
 
-    with _removed_on_failure(dirs) as written:
-        written.json(out / "dataset.json", header)
+    created = out  # the topmost directory this run creates
+    while not created.parent.exists():
+        created = created.parent
+    out.mkdir(parents=True)
+    try:
+        save_json(out / "dataset.json", header)
         if args.mode == "train":
             run_units(args.count, patch)
         else:
             run_units(len(levels) * (args.count + 1), frame)
+    except BaseException:
+        shutil.rmtree(created, ignore_errors=True)
+        raise
     return 0
 
 

@@ -1,7 +1,11 @@
 """Atomic file writes: no command ever leaves partial output behind.
 
-A new file gets the permission bits that ``open`` gives it under the
-process umask (0o666 less the umask); a replaced file keeps its own.
+Each file is written to a temp file beside it and renamed over the target,
+so a reader sees the old bytes or the new ones, never a mix.  A write
+replaces an existing file; ``gen-dataset`` keeps earlier trees by claiming
+a new output directory before it writes.  A new file gets the permission
+bits that ``open`` gives it under the process umask (0o666 less the
+umask); a replaced file keeps its own.
 """
 
 from __future__ import annotations
@@ -23,30 +27,18 @@ def _create_temp(directory: Path, name: str) -> tuple[int, Path]:
             continue
 
 
-def atomic_write_bytes(path: Path, *chunks, exclusive: bool = False) -> None:
-    """Write the bytes-like ``chunks``, in order, to a temp file in the target directory, then rename over.
-
-    With ``exclusive`` the temp file is hard-linked into place instead, so
-    an existing ``path`` is never replaced: FileExistsError is raised.
-    """
+def atomic_write_bytes(path: Path, *chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to a temp file in the target directory, then rename over."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = _create_temp(path.parent, path.name)
     try:
         with os.fdopen(fd, "wb") as handle:
-            if not exclusive:
-                with contextlib.suppress(FileNotFoundError):
-                    os.fchmod(handle.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(handle.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             for chunk in chunks:
                 handle.write(chunk)
-        if exclusive:
-            try:
-                os.link(tmp, path)
-            except FileExistsError as exc:  # name the target, not the temp file
-                raise FileExistsError(exc.errno, exc.strerror, str(path)) from None
-            os.unlink(tmp)
-        else:
-            os.replace(tmp, path)
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

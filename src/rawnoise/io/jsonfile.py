@@ -22,6 +22,6 @@ def json_text(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-def save_json(path, record: dict, exclusive: bool = False) -> None:
-    """Write ``json_text(record)`` atomically; ``exclusive`` as in atomic_write_bytes."""
-    atomic_write_bytes(Path(path), json_text(record).encode("utf-8"), exclusive=exclusive)
+def save_json(path, record: dict) -> None:
+    """Write ``json_text(record)`` atomically."""
+    atomic_write_bytes(Path(path), json_text(record).encode("utf-8"))

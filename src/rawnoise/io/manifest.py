@@ -44,8 +44,8 @@ class Manifest(Record, error=BadManifestError):
             )
         return super().from_dict({k: v for k, v in record.items() if k != "version"})
 
-    def save(self, path, exclusive: bool = False) -> None:
-        save_json(path, self.as_dict(), exclusive)
+    def save(self, path) -> None:
+        save_json(path, self.as_dict())
 
     @classmethod
     def load(cls, path) -> "Manifest":

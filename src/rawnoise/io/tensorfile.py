@@ -103,9 +103,9 @@ def tensor_from_bytes(raw: bytes) -> np.ndarray:
     return tensor.astype(np.float64)
 
 
-def write_tensor(path, array: np.ndarray, exclusive: bool = False) -> None:
+def write_tensor(path, array: np.ndarray) -> None:
     """Write ``array`` as an NRAW file, straight from its float32 payload."""
-    atomic_write_bytes(Path(path), *_nraw_chunks(array), exclusive=exclusive)
+    atomic_write_bytes(Path(path), *_nraw_chunks(array))
 
 
 def read_tensor(path) -> np.ndarray:

@@ -4,9 +4,12 @@ Each unit draws on a random stream of its own (see ``streams``) and writes
 only its own outputs, so the order in which threads run the units changes
 no byte of the result.  numpy releases the interpreter lock inside its
 samplers and array loops, but the units also spend time in Python that
-holds it: on a 2-vCPU Xeon host with one BLAS thread, the 256-triplet
-draw ran 1.33-1.45x faster on two CPUs than on one, where a GEMM control
-through the same runner ran 1.70-1.97x.
+holds it.  On a shared 2-vCPU Xeon host with one BLAS thread, two sets of
+8 rounds ran the 256-triplet draw 0.98-2.17x and 1.09-1.72x faster on two
+CPUs than on one (medians 1.55x and 1.57x), where a GEMM control through
+the same runner (64 units of one 400x400 matmul) ran 1.86-2.29x and
+1.60-2.24x (medians 2.10x and 1.90x); the host's speed drifts between
+rounds, which is why single ratios pass 2x.
 """
 
 from __future__ import annotations

@@ -229,18 +229,15 @@ class TestGenDatasetAndOracle:
         ids=["flat_shot_rate", "dark_float32_overflow"],
     )
     def test_refused_run_removes_what_it_wrote(self, tmp_path, capsys, mode, flags):
-        """A run refused after writing some frames leaves the --out directory
-        as it found it: its own files gone, earlier contents untouched."""
-        out = tmp_path / "set"
-        (out / "level_00").mkdir(parents=True)
-        (out / "notes.txt").write_text("kept")
-        (out / "level_00" / "own.txt").write_text("kept too")
-        before = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
+        """A run refused after writing some frames removes the directories it
+        created, --out and its missing parent, and leaves their sibling alone."""
+        out = tmp_path / "new" / "set"
+        (tmp_path / "notes.txt").write_text("kept")
         assert run("gen-dataset", "--out", out, "--seed", 1, "--mode", mode, "--count", 2,
                    "--height", 8, "--width", 8, *flags) == 2
         assert capsys.readouterr().err.startswith("DOMAIN: ")
-        after = {path: path.read_bytes() if path.is_file() else None for path in out.rglob("*")}
-        assert after == before
+        assert not out.exists() and not out.parent.exists()
+        assert (tmp_path / "notes.txt").read_text() == "kept"
 
     def test_cameras_sharing_a_file_stem_refused(self, tmp_path, capsys):
         """The file stem is the camera id, so two cameras named cam.json would be

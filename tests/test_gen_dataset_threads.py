@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from rawnoise import cli, parallel, synthetic
+from rawnoise import parallel, synthetic
 from rawnoise.cli import main
 
 PARAMS = '{"K": 1.5, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
@@ -97,8 +97,8 @@ def test_units_run_on_n_threads_at_once(cpus, n):
 
 
 def test_stress_more_threads_than_cpus(tmp_path, cpus):
-    """8 threads switching every microsecond: every unit runs exactly once, and
-    every file is written and listed once (a lost claim or list update breaks both)."""
+    """8 threads switching every microsecond: every unit runs exactly once (a
+    lost claim breaks it), and the tree is the serial run's."""
     cpus(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -109,9 +109,6 @@ def test_stress_more_threads_than_cpus(tmp_path, cpus):
         argv = ["gen-dataset", "--mode", "dark", "--seed", 23, "--count", 60,
                 "--height", 4, "--width", 4, "--params", PARAMS]
         assert run(*argv, "--out", tmp_path / "threads") == 0
-        written = cli._NewFiles()
-        parallel.run_units(200, lambda i: written.json(tmp_path / "listed" / f"{i}.json", {}))
-        assert sorted(written) == sorted((tmp_path / "listed").iterdir())
     finally:
         sys.setswitchinterval(interval)
     cpus(1)
@@ -171,23 +168,43 @@ def test_a_claimed_unit_runs_after_a_later_unit_failed(cpus, monkeypatch):
     assert caught.value.args == (1,)
 
 
-def test_existing_targets_refused_as_in_a_serial_run(tmp_path, cpus, capsys):
-    """Two targets already present: the run names the lower one, patch 2,
-    and leaves the tree as it found it, whichever thread got there first."""
+def test_existing_out_refused_untouched(tmp_path, cpus, capsys):
+    """An --out that exists, empty or not, is refused before anything is written."""
     cpus(4)
     bank = _bank_flags(tmp_path)
-    out = tmp_path / "set"
-    (out / "noisy").mkdir(parents=True)
-    (out / "noisy" / "patch_00002.json").write_text("kept")
-    (out / "noisy" / "patch_00005.nraw").write_text("kept too")
-    before = _tree(out)
-    argv = ["gen-dataset", "--out", out, "--mode", "train", "--seed", 4, "--count", 12,
-            "--height", 16, "--width", 16, *bank]
-    for _ in range(20):
-        assert run(*argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("IO_ERROR: ") and "patch_00002.json" in err, err
+    empty, full = tmp_path / "empty", tmp_path / "full"
+    empty.mkdir()
+    (full / "noisy").mkdir(parents=True)
+    (full / "noisy" / "patch_00002.json").write_text("kept")
+    for out in (empty, full):
+        before = _tree(out)
+        assert run("gen-dataset", "--out", out, "--mode", "train", "--seed", 4, "--count", 12,
+                   "--height", 16, "--width", 16, *bank) == 2
+        assert capsys.readouterr().err == f"IO_ERROR: [Errno 17] File exists: '{out}'\n"
         assert _tree(out) == before
+
+
+def test_concurrent_runs_on_one_new_out(tmp_path, cpus, capsys):
+    """Two runs racing for one new --out: one writes a lone run's tree, the other is refused."""
+    cpus(2)
+    for attempt in range(20):
+        out = tmp_path / f"set_{attempt}"
+        start = threading.Barrier(2, timeout=30)
+        codes = []
+
+        def call():
+            start.wait()
+            codes.append(run("gen-dataset", "--out", out, *MODES["dark"]))
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        assert sorted(codes) == [0, 2]
+        assert capsys.readouterr().err == f"IO_ERROR: [Errno 17] File exists: '{out}'\n"
+        assert _tree_digest(out) == PINNED["dark"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -201,12 +218,12 @@ def test_existing_targets_refused_as_in_a_serial_run(tmp_path, cpus, capsys):
     ids=["flat_shot_rate", "dark_float32_overflow"],
 )
 def test_refused_run_removes_what_it_wrote(tmp_path, cpus, capsys, n, mode, flags):
+    """The refused run removes --out and its missing parent, and nothing beside them."""
     cpus(n)
-    out = tmp_path / "set"
-    (out / "level_00").mkdir(parents=True)
-    (out / "notes.txt").write_text("kept")
-    before = _tree(out)
+    out = tmp_path / "new" / "set"
+    (tmp_path / "notes.txt").write_text("kept")
     assert run("gen-dataset", "--out", out, "--seed", 1, "--mode", mode, "--count", 6,
                "--height", 8, "--width", 8, *flags) == 2
     assert capsys.readouterr().err.startswith("DOMAIN: ")
-    assert _tree(out) == before
+    assert not out.exists() and not out.parent.exists()
+    assert (tmp_path / "notes.txt").read_text() == "kept"

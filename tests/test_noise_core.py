@@ -266,20 +266,19 @@ class TestModelInvariants:
         assert abs((noisy - clean).mean() + 0.7) < 0.02 * max(1.0, 3.0)
 
     def test_row_covariance(self):
-        """Same physical row: cov = sigma_r^2 +- 5%; across rows: ~0."""
+        """Same physical row: cov = sigma_r^2 +- 5%; across rows: ~0.
+
+        One draw of 10^5 packed rows: packed row j holds physical rows 2j
+        (R, Gr) and 2j + 1 (Gb, B), each with its own offset.
+        """
         sigma_r = 2.0
         params = NoiseParams(K=1.0, sigma=1.0, mu_c=0.0, sigma_r=sigma_r)
-        clean = np.full((4, 8, 8), 10.0)
         n = 10**5
-        same_a = np.empty(n)
-        same_b = np.empty(n)
-        diff_b = np.empty(n)
-        rng = np.random.default_rng(21)
-        for i in range(n):
-            noisy, _ = synthesize_noise(clean, params, rng)
-            same_a[i] = noisy[0, 3, 2]  # physical row 6
-            same_b[i] = noisy[1, 3, 5]  # same physical row via Gr
-            diff_b[i] = noisy[2, 3, 2]  # physical row 7
+        clean = np.full((4, n, 8), 10.0)
+        noisy, _ = synthesize_noise(clean, params, np.random.default_rng(21))
+        same_a = noisy[0, :, 2]  # physical row 2j
+        same_b = noisy[1, :, 5]  # same physical row via Gr
+        diff_b = noisy[2, :, 2]  # physical row 2j + 1
         noise_a = same_a - 10.0
         cov_same = np.mean(noise_a * (same_b - 10.0)) - noise_a.mean() * (same_b - 10.0).mean()
         cov_diff = np.mean(noise_a * (diff_b - 10.0)) - noise_a.mean() * (diff_b - 10.0).mean()

@@ -11,6 +11,7 @@ files atomically, and reports failures as a single machine-parsable line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -265,7 +266,8 @@ def _cmd_gen_dataset(args) -> int:
 
     ``--out`` is claimed with one ``mkdir``, so an existing path is refused
     with IO_ERROR before anything is written, and of two runs on one new
-    path only one proceeds.  Patches, and frames, are drawn on streams of
+    path only one proceeds.  A refused run removes ``--out`` and then each
+    parent it created that is left empty.  Patches, and frames, are drawn on streams of
     their own, so they are generated in parallel (see ``parallel.run_units``)
     with the bytes of a serial run.
     """
@@ -333,9 +335,8 @@ def _cmd_gen_dataset(args) -> int:
                 index,
             )
 
-    created = out  # the topmost directory this run creates
-    while not created.parent.exists():
-        created = created.parent
+    # Only --out is this run's own; a parent it creates may be shared by now.
+    missing = [d for d in out.parents if not d.exists()]  # innermost first
     out.mkdir(parents=True)
     try:
         save_json(out / "dataset.json", header)
@@ -344,7 +345,10 @@ def _cmd_gen_dataset(args) -> int:
         else:
             run_units(len(levels) * (args.count + 1), frame)
     except BaseException:
-        shutil.rmtree(created, ignore_errors=True)
+        shutil.rmtree(out, ignore_errors=True)
+        for directory in missing:
+            with contextlib.suppress(OSError):  # not empty: another run writes there
+                directory.rmdir()
         raise
     return 0
 

@@ -104,35 +104,22 @@ class Adam:
         self.trainable = tuple(sorted(trainable))
         self.m = {name: np.zeros_like(params[name]) for name in self.trainable}
         self.v = {name: np.zeros_like(params[name]) for name in self.trainable}
-        # Two scratch arrays per parameter, so a step allocates nothing.
-        self._scratch = {
-            name: (np.empty_like(params[name]), np.empty_like(params[name]))
-            for name in self.trainable
-        }
         self.t = 0
 
     def step(self, params, grads, lr: float) -> None:
-        """The textbook update, computed in place with the same operations in the same order."""
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
         for name in self.trainable:
             g = grads[name]
             m, v = self.m[name], self.v[name]
-            a, b = self._scratch[name]
             m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
-            np.square(g, out=a)
-            a *= 1.0 - ADAM_BETA2
-            v += a
-            np.divide(m, bias1, out=b)  # m_hat
-            b *= lr
-            np.divide(v, bias2, out=a)  # v_hat
-            np.sqrt(a, out=a)
-            a += ADAM_EPS
-            b /= a
-            params[name] -= b
+            v += (1.0 - ADAM_BETA2) * g**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_triplet_batch(scene_pool, camera_bank, rng, size: int) -> TripletBatch:

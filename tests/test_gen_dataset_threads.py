@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from rawnoise import parallel, synthetic
+from rawnoise import cli, parallel, synthetic
 from rawnoise.cli import main
 
 PARAMS = '{"K": 1.5, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
@@ -227,3 +227,25 @@ def test_refused_run_removes_what_it_wrote(tmp_path, cpus, capsys, n, mode, flag
     assert capsys.readouterr().err.startswith("DOMAIN: ")
     assert not out.exists() and not out.parent.exists()
     assert (tmp_path / "notes.txt").read_text() == "kept"
+
+
+def test_refused_run_keeps_a_run_beside_it_under_a_shared_parent(tmp_path, cpus, capsys,
+                                                                  monkeypatch):
+    """Two runs both find --out's parent missing; the refused one leaves the other's tree whole."""
+    cpus(2)
+    shared = tmp_path / "runs"
+    run_units = cli.run_units
+
+    def sibling_first(count, unit):
+        # runs/b has claimed its --out; runs/a now writes its whole tree
+        monkeypatch.setattr(cli, "run_units", run_units)
+        assert run("gen-dataset", "--out", shared / "a", *MODES["dark"]) == 0
+        run_units(count, unit)
+
+    monkeypatch.setattr(cli, "run_units", sibling_first)
+    assert run("gen-dataset", "--out", shared / "b", "--seed", 1, "--mode", "dark",
+               "--count", 6, "--height", 8, "--width", 8,
+               "--params", '{"K": 1.0, "sigma": 1e300, "mu_c": 0.0, "sigma_r": 1.0}') == 2
+    assert capsys.readouterr().err.startswith("DOMAIN: ")
+    assert not (shared / "b").exists()
+    assert _tree_digest(shared / "a") == PINNED["dark"]

@@ -115,9 +115,12 @@ def test_oracle_hooks_resolve_and_record_one_call_each():
     assert params.K > 0
 
 
-def test_io_hooks_record_the_gen_dataset_writes(tmp_path):
+def test_io_hooks_record_the_gen_dataset_writes(tmp_path, monkeypatch):
     """Each patch of a train-mode run is two tensors and one manifest,
     written through the names the io hooks wrap."""
+    # Units write their files concurrently, and the tracer's one span stack
+    # would drop a write made while another thread's is open.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
     tracing = _load_tracing()
     hooks = [hook for hook in tracing.HOOKS if str(hook[0]).startswith("io.")]
     assert hooks

@@ -44,13 +44,10 @@ from .io import Manifest, atomic_write_text, load_json, read_tensor, save_json, 
 from .noise_core import NoiseParams, add_noise
 from .parallel import run_units
 from .records import Record
-from .streams import derive_stream
+from .streams import SCENE_STREAM, derive_stream
 
 PARAM_CSV_HEADER = ["image_id", "K", "sigma", "mu_c", "sigma_r"]
-
-# Stream index used for scene generation in `train` (patch streams use the
-# running patch index; see streams.derive_stream).
-SCENE_STREAM = 4
+ISO_CSV_HEADER = [*PARAM_CSV_HEADER, "iso"]
 
 
 def _fmt(value: float) -> str:
@@ -80,10 +77,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buffer.getvalue()
 
 
-def _read_estimates(path: Path) -> tuple[list[str], list[tuple[str, NoiseParams, float | None]]]:
+def _read_estimates(path: Path, exact: bool = False) -> tuple[list[str], list[tuple]]:
     """The header and ``(image_id, params, iso or None)`` rows of a UTF-8 estimates CSV.
 
-    The header starts with PARAM_CSV_HEADER, optionally followed by ``iso``.
+    The header starts with PARAM_CSV_HEADER, optionally followed by ``iso``;
+    if ``exact``, it is PARAM_CSV_HEADER or ISO_CSV_HEADER and nothing more.
     """
     try:
         reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
@@ -91,6 +89,10 @@ def _read_estimates(path: Path) -> tuple[list[str], list[tuple[str, NoiseParams,
         lines = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"{path} is not a readable UTF-8 CSV file: {exc}") from exc
+    if exact and header not in (PARAM_CSV_HEADER, ISO_CSV_HEADER):
+        raise DomainError(
+            f"{path} must have header {','.join(PARAM_CSV_HEADER)} or {','.join(ISO_CSV_HEADER)}"
+        )
     if header is None or header[: len(PARAM_CSV_HEADER)] != PARAM_CSV_HEADER:
         raise DomainError(f"{path} must start with header {','.join(PARAM_CSV_HEADER)}")
     has_iso = header[5:6] == ["iso"]
@@ -193,11 +195,9 @@ def _read_flat_series(root) -> list[tuple[float, Iterator[np.ndarray]]]:
 
 
 def _cmd_estimate(args) -> int:
-    rows = []
+    header, rows = PARAM_CSV_HEADER, []
     if args.append and Path(args.append).exists():
-        header, rows = _read_estimates(Path(args.append))
-        if header != PARAM_CSV_HEADER:
-            raise DomainError(f"{args.append} does not carry the parameter CSV header")
+        header, rows = _read_estimates(Path(args.append), exact=True)
     if args.oracle:
         if not args.flat_series or not args.dark:
             raise ConfigurationError("oracle mode needs --flat-series and --dark")
@@ -214,9 +214,12 @@ def _cmd_estimate(args) -> int:
     record = {**params.as_dict(), "image_id": args.image_id, "source": source}
     save_json(args.out, record)
     if args.append:
-        table = [_params_row(image_id, p) for image_id, p, _ in rows]
-        table.append(_params_row(args.image_id, params))
-        atomic_write_text(Path(args.append), _csv_text(PARAM_CSV_HEADER, table))
+        rows.append((args.image_id, params, None))
+        table = [  # cut to the header: an iso field only under the iso header
+            [*_params_row(image_id, p), "" if iso is None else _fmt(iso)][: len(header)]
+            for image_id, p, iso in rows
+        ]
+        atomic_write_text(Path(args.append), _csv_text(header, table))
     return 0
 
 
@@ -319,21 +322,17 @@ def _cmd_gen_dataset(args) -> int:
         write_tensor(out / "clean" / f"patch_{i:05d}.nraw", scene)
         _write_noisy(out / "noisy" / f"patch_{i:05d}", scene, params, rng, camera_id, args.seed, i)
 
-    def frame(unit):
-        # Each level is one clean.nraw, then --count noisy frames on streams
-        # j * count + k, so level j's files are units j * (count + 1) onward.
-        j, k = divmod(unit, args.count + 1)
+    def level(j):
+        """Level j's directory and its clean frame."""
         directory = out / f"level_{j:02d}" if args.mode == "flat" else out
-        clean = np.broadcast_to(levels[j], (4, args.height, args.width))
-        if k == 0:
-            write_tensor(directory / "clean.nraw", clean)
-        else:
-            index = j * args.count + k - 1
-            rng = derive_stream(args.seed, index)
-            _write_noisy(
-                directory / f"noisy_{k - 1:04d}", clean, params, rng, args.camera_id, args.seed,
-                index,
-            )
+        return directory, np.broadcast_to(levels[j], (4, args.height, args.width))
+
+    def frame(i):
+        # Frame k of level j is unit, and stream, j * count + k.
+        j, k = divmod(i, args.count)
+        directory, clean = level(j)
+        rng = derive_stream(args.seed, i)
+        _write_noisy(directory / f"noisy_{k:04d}", clean, params, rng, args.camera_id, args.seed, i)
 
     # Only --out is this run's own; a parent it creates may be shared by now.
     missing = [d for d in out.parents if not d.exists()]  # innermost first
@@ -343,7 +342,10 @@ def _cmd_gen_dataset(args) -> int:
         if args.mode == "train":
             run_units(args.count, patch)
         else:
-            run_units(len(levels) * (args.count + 1), frame)
+            for j in range(len(levels)):
+                directory, clean = level(j)
+                write_tensor(directory / "clean.nraw", clean)
+            run_units(len(levels) * args.count, frame)
     except BaseException:
         shutil.rmtree(out, ignore_errors=True)
         for directory in missing:

@@ -58,7 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 from ..noise_core import NUM_CHANNELS
-from ..streams import derive_stream
+from ..streams import INIT_STREAM, derive_stream
 from ..wavelets import haar_dwt2, haar_idwt2
 from .config import EstimatorConfig
 
@@ -68,11 +68,6 @@ HAAR_PLANES = 4 * NUM_CHANNELS
 # (per channel: LL, then the three detail planes).
 DETAIL_GAIN = 16.0
 BAND_GAIN = np.tile([1.0, DETAIL_GAIN, DETAIL_GAIN, DETAIL_GAIN], NUM_CHANNELS)
-
-# Spawn indices for streams derived from the config seed.
-INIT_STREAM = 0
-DATA_STREAM = 1
-SHUFFLE_STREAM = 2
 
 
 def parameter_shapes(config: EstimatorConfig) -> dict[str, tuple[int, ...]]:

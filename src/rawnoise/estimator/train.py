@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigurationError, ShapeError
 from ..noise_core import NUM_CHANNELS, NoiseParams, as_patch
 from ..parallel import run_units
-from ..streams import derive_stream
+from ..streams import DATA_STREAM, SHUFFLE_STREAM, derive_stream
 from .checkpoint import EstimatorCheckpoint
 from .config import EstimatorConfig
 from .losses import (
@@ -33,7 +33,7 @@ from .losses import (
     inverse_param_transform,
     param_targets,
 )
-from .network import DATA_STREAM, SHUFFLE_STREAM, EstimatorNetwork, parameter_shapes
+from .network import EstimatorNetwork, parameter_shapes
 from .triplets import TripletBatch, augment_triplet
 
 ADAM_BETA1 = 0.9

@@ -12,11 +12,18 @@ drawn from one stream takes one child per unit: triplet ``i`` of a
 training set draws on child ``i`` of the data stream,
 ``PCG64(SeedSequence(seed, spawn_key=(DATA_STREAM, i)))``, so training-set
 bytes do not depend on the thread count either.
+
+The streams of a training seed are the table below; index 3 is unused.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+INIT_STREAM = 0  # network weight initialisation
+DATA_STREAM = 1  # the training set, one child per triplet
+SHUFFLE_STREAM = 2  # the per-epoch batch order
+SCENE_STREAM = 4  # the scene pool of ``train``
 
 
 def derive_stream(master_seed: int, index: int = 0) -> np.random.Generator:

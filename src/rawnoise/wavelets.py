@@ -25,6 +25,11 @@ from .errors import ShapeError
 from .noise_core import NUM_CHANNELS, packed_shape
 
 
+def _butterfly(a, b, c, d):
+    """The 2x2 Haar matrix, which is its own inverse, applied to four like arrays."""
+    return (a + b + c + d) / 2, (a - b + c - d) / 2, (a + b - c - d) / 2, (a - b - c + d) / 2
+
+
 def haar_dwt2(patch: np.ndarray) -> np.ndarray:
     """Forward transform: ``(..., 4, H, W) -> (..., 16, H/2, W/2)``, H and W even."""
     patch = np.asarray(patch, dtype=np.float64)
@@ -32,16 +37,11 @@ def haar_dwt2(patch: np.ndarray) -> np.ndarray:
     if height % 2 or width % 2:
         raise ShapeError(f"Haar transform needs even dims, got {height}x{width}")
 
-    p = patch[..., 0::2, 0::2]
-    q = patch[..., 0::2, 1::2]
-    r = patch[..., 1::2, 0::2]
-    s = patch[..., 1::2, 1::2]
+    p, q, r, s = (patch[..., i::2, j::2] for i in (0, 1) for j in (0, 1))
 
     out = np.empty((*patch.shape[:-3], 4 * NUM_CHANNELS, height // 2, width // 2))
-    out[..., 0::4, :, :] = (p + q + r + s) / 2.0
-    out[..., 1::4, :, :] = (p - q + r - s) / 2.0
-    out[..., 2::4, :, :] = (p + q - r - s) / 2.0
-    out[..., 3::4, :, :] = (p - q - r + s) / 2.0
+    for k, band in enumerate(_butterfly(p, q, r, s)):
+        out[..., k::4, :, :] = band
     return out
 
 
@@ -55,15 +55,10 @@ def haar_idwt2(subbands: np.ndarray) -> np.ndarray:
     if subbands.ndim < 3 or subbands.shape[-3] != 4 * NUM_CHANNELS:
         raise ShapeError(f"expected (..., 16, h, w) subbands, got {subbands.shape}")
 
-    ll = subbands[..., 0::4, :, :]
-    lh = subbands[..., 1::4, :, :]
-    hl = subbands[..., 2::4, :, :]
-    hh = subbands[..., 3::4, :, :]
+    ll, lh, hl, hh = (subbands[..., k::4, :, :] for k in range(4))
 
     h, w = subbands.shape[-2:]
     patch = np.empty((*subbands.shape[:-3], NUM_CHANNELS, 2 * h, 2 * w), dtype=np.float64)
-    patch[..., 0::2, 0::2] = (ll + lh + hl + hh) / 2.0
-    patch[..., 0::2, 1::2] = (ll - lh + hl - hh) / 2.0
-    patch[..., 1::2, 0::2] = (ll + lh - hl - hh) / 2.0
-    patch[..., 1::2, 1::2] = (ll - lh - hl + hh) / 2.0
+    (patch[..., 0::2, 0::2], patch[..., 0::2, 1::2],
+     patch[..., 1::2, 0::2], patch[..., 1::2, 1::2]) = _butterfly(ll, lh, hl, hh)
     return patch

@@ -30,9 +30,8 @@ from rawnoise.estimator import (
     make_triplet_batch,
     train,
 )
-from rawnoise.estimator.network import DATA_STREAM
 from rawnoise.metrics import NoiseHistogram
-from rawnoise.streams import derive_stream
+from rawnoise.streams import DATA_STREAM, derive_stream
 
 TOY_SEED = 11
 

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 import pytest
+from cli_sequence import run_cli_sequence
 from conftest import gaussian_histogram
 from scipy import stats
 
 from rawnoise import synthetic
 from rawnoise.calibration import CameraModel, fit_log_linear, sample_params
-from rawnoise.cli import main as cli_main
 from rawnoise.estimator import (
     ConvStage,
     EstimatorCheckpoint,
@@ -29,7 +29,6 @@ from rawnoise.estimator import (
     total_loss,
 )
 from rawnoise.estimator.network import DETAIL_GAIN, parameter_shapes
-from rawnoise.io import write_tensor
 from rawnoise.metrics import build_histogram, default_range, kl_divergence
 from rawnoise.noise_core import NoiseParams, sample_read, sample_row, sample_shot, synthesize_noise
 from rawnoise.oracle import estimate_params_oracle
@@ -330,52 +329,7 @@ class TestAcceptance:
     def test_criterion_11_cli_determinism(self, tmp_path):
         """Every command is byte-reproducible under fixed seeds."""
         ok = True
-        params_json = '{"K": 1.5, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
-
-        clean = tmp_path / "clean.nraw"
-        write_tensor(clean, derive_stream(211, 0).uniform(0, 200, size=(4, 8, 8)))
-
-        def run(*argv):
-            assert cli_main([str(a) for a in argv]) == 0
-
-        outputs = {}
-        for tag in ("one", "two"):
-            base = tmp_path / tag
-            base.mkdir()
-            run("synthesize", "--clean", clean, "--params", params_json, "--seed", 5,
-                "--out", base / "noisy.nraw")
-            run("gen-dataset", "--out", base / "darks", "--seed", 6, "--mode", "dark",
-                "--count", 4, "--params", params_json, "--height", 16, "--width", 16)
-            camera = base / "camera.json"
-            csv_path = base / "tuples.csv"
-            camera.write_text(
-                '{"a": 0.7, "b": 0.1, "a_r": 0.5, "b_r": -0.2, "sigma_hat": 0.1,'
-                ' "sigma_r_hat": 0.1, "K_min": 0.25, "K_max": 8.0, "mu_c_model": 0.0}'
-            )
-            run("sample-params", "--camera", camera, "--count", 50, "--seed", 7,
-                "--out", csv_path)
-            run("calibrate", "--estimates", csv_path, "--out", base / "refit.json")
-            config = {
-                "extractor": [{"kernel": 3, "stride": 2, "width": 4, "nonlinearity": "relu"}],
-                "feature_dim": 8, "projector": [6, 4], "head": [6, 4],
-                "patch_height": 8, "patch_width": 8, "batch_size": 4,
-                "epochs_per_stage": 1, "train_triplets": 8, "seed": 21,
-                "cameras": [str(camera)], "scene_pool_size": 4,
-                "out_checkpoint": str(base / "model.nest"),
-                "out_log": str(base / "losses.csv"),
-            }
-            (base / "train.json").write_text(__import__("json").dumps(config))
-            run("train", "--config", base / "train.json")
-            run("estimate", "--input", clean, "--checkpoint", base / "model.nest",
-                "--out", base / "est.json")
-            outputs[tag] = {
-                rel: (base / rel).read_bytes()
-                for rel in (
-                    "noisy.nraw", "noisy.json", "darks/noisy_0003.nraw",
-                    "darks/noisy_0003.json", "tuples.csv", "refit.json",
-                    "model.nest", "losses.csv", "est.json",
-                )
-            }
+        outputs = {tag: run_cli_sequence(tmp_path / tag) for tag in ("one", "two")}
         for rel in outputs["one"]:
             ok &= outputs["one"][rel] == outputs["two"][rel]
         report(11, "CLI byte-reproducibility", ok, f"{len(outputs['one'])} artifacts")

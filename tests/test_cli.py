@@ -14,6 +14,8 @@ from rawnoise import cli, synthetic
 from rawnoise.cli import build_parser, main
 from rawnoise.estimator import ConvStage, EstimatorConfig, EstimatorNetwork, EstimatorCheckpoint
 from rawnoise.io import Manifest, read_tensor, write_tensor
+from rawnoise.noise_core import NoiseParams, add_noise
+from rawnoise.streams import derive_stream
 
 
 def run(*argv):
@@ -191,6 +193,25 @@ class TestGenDatasetAndOracle:
             ) == 0
         for rel in ("clean.nraw", "noisy_0000.nraw", "noisy_0002.json"):
             assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+
+    @pytest.mark.parametrize("mode, levels", [("flat", (5.0, 40.0)), ("dark", (0.0,))])
+    def test_frame_k_of_level_j_draws_on_stream_j_count_plus_k(self, tmp_path, mode, levels):
+        seed, count, height, width = 13, 3, 6, 4
+        flags = ["--levels", ",".join(map(str, levels))] if mode == "flat" else []
+        assert run("gen-dataset", "--out", tmp_path / "set", "--seed", seed, "--mode", mode,
+                   "--count", count, "--params", PARAMS_JSON, "--height", height,
+                   "--width", width, *flags) == 0
+        params = NoiseParams.from_dict(json.loads(PARAMS_JSON))
+        for j, level in enumerate(levels):
+            directory = tmp_path / "set" / (f"level_{j:02d}" if mode == "flat" else "")
+            for k in range(count):
+                stem = directory / f"noisy_{k:04d}"
+                index = j * count + k
+                assert Manifest.load(stem.with_suffix(".json")).stream_index == index
+                frame = add_noise(np.full((4, height, width), level), params,
+                                  derive_stream(seed, index))
+                assert (read_tensor(stem.with_suffix(".nraw")).astype("<f4").tobytes()
+                        == frame.astype("<f4").tobytes())
 
     @pytest.mark.parametrize(
         "flags, code",
@@ -638,6 +659,58 @@ def test_non_finite_nraw_input_is_named(tmp_path, capsys, case, value):
     assert err.strip() == f"DOMAIN: {path} holds a value that is not finite"
     assert out == ""
     assert set(tmp_path.rglob("*")) == before
+
+
+class TestEstimateAppend:
+    """``estimate --append`` keeps the CSV's header: with or without the iso column."""
+
+    def _append(self, base, csv_path) -> str:
+        """Run an oracle estimate appending row ``new``; the CSV line it should write."""
+        assert run(*_oracle_inputs(base), "--append", csv_path, "--image-id", "new") == 0
+        record = json.loads((base / "out.json").read_text())
+        return ",".join(["new", *(repr(record[key]) for key in ("K", "sigma", "mu_c", "sigma_r"))])
+
+    def test_iso_rows_keep_their_iso_and_calibrate_fits_alpha(self, tmp_path, capsys):
+        csv_path = tmp_path / "est.csv"
+        csv_path.write_text(
+            "image_id,K,sigma,mu_c,sigma_r,iso\n"
+            "a,0.5,1.0,0.0,0.5,100\n"
+            "b,1.0,1.3,0.0,0.7,200\n"
+        )
+        new = self._append(tmp_path, csv_path)
+        assert csv_path.read_text() == (
+            "image_id,K,sigma,mu_c,sigma_r,iso\n"
+            "a,0.5,1.0,0.0,0.5,100.0\n"
+            "b,1.0,1.3,0.0,0.7,200.0\n"
+            f"{new},\n"
+        )
+        out = tmp_path / "camera.json"
+        assert run("calibrate", "--estimates", csv_path, "--out", out) == 0
+        assert "fit over 3 estimates" in capsys.readouterr().out
+        # alpha from the two iso rows only: (100 * 0.5 + 200 * 1.0) / (100^2 + 200^2)
+        assert json.loads(out.read_text())["alpha"] == pytest.approx(0.005, rel=1e-12)
+
+    def test_rows_without_iso_keep_their_bytes(self, tmp_path):
+        csv_path = tmp_path / "est.csv"
+        kept = "image_id,K,sigma,mu_c,sigma_r\na,0.5,1.0,0.0,0.5\nb,1.0,1.3,0.0,0.7\n"
+        csv_path.write_text(kept)
+        new = self._append(tmp_path, csv_path)
+        assert csv_path.read_text() == f"{kept}{new}\n"
+
+    @pytest.mark.parametrize(
+        "header", ["image_id,K,sigma,mu_c,sigma_r,note", "image_id,K,sigma,mu_c,sigma_r,iso,note"]
+    )
+    def test_any_other_header_is_refused(self, tmp_path, capsys, header):
+        csv_path = tmp_path / "est.csv"
+        csv_path.write_text(f"{header}\na,0.5,1.0,0.0,0.5,1\n")
+        before = csv_path.read_bytes()
+        assert run(*_oracle_inputs(tmp_path), "--append", csv_path) == 2
+        assert capsys.readouterr().err == (
+            f"DOMAIN: {csv_path} must have header image_id,K,sigma,mu_c,sigma_r "
+            "or image_id,K,sigma,mu_c,sigma_r,iso\n"
+        )
+        assert csv_path.read_bytes() == before
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestOutOfMemory:

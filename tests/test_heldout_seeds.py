@@ -25,8 +25,7 @@ from rawnoise.estimator import (
     mean_r_baseline_mse,
     train,
 )
-from rawnoise.estimator.network import DATA_STREAM
-from rawnoise.streams import derive_stream
+from rawnoise.streams import DATA_STREAM, derive_stream
 
 TRAIN_SEEDS = (11, 12, 13)
 HELDOUT_SEEDS = (999, 1000, 1001)

@@ -14,8 +14,7 @@ from rawnoise.estimator import (
     make_triplet_batch,
     train,
 )
-from rawnoise.estimator.network import DATA_STREAM
-from rawnoise.streams import derive_stream
+from rawnoise.streams import DATA_STREAM, derive_stream
 
 POINT_MASS = CameraModel(
     a=0.5, b=0.0, a_r=0.5, b_r=0.0, sigma_hat=0.0, sigma_r_hat=0.0,

@@ -24,12 +24,7 @@ from .noise_core import (
     sample_shot,
     synthesize_noise,
 )
-from .oracle import (
-    estimate_color_bias,
-    estimate_gain_and_read,
-    estimate_params_oracle,
-    estimate_row_sigma,
-)
+from .oracle import estimate_bias_and_row_sigma, estimate_gain_and_read, estimate_params_oracle
 from .streams import derive_stream
 from .wavelets import haar_dwt2, haar_idwt2
 
@@ -44,10 +39,9 @@ __all__ = [
     "as_patch",
     "build_histogram",
     "derive_stream",
-    "estimate_color_bias",
+    "estimate_bias_and_row_sigma",
     "estimate_gain_and_read",
     "estimate_params_oracle",
-    "estimate_row_sigma",
     "fit_iso_gain",
     "fit_log_linear",
     "haar_dwt2",

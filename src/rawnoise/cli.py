@@ -77,11 +77,10 @@ def _csv_text(header: list[str], rows) -> str:
     return buffer.getvalue()
 
 
-def _read_estimates(path: Path, exact: bool = False) -> tuple[list[str], list[tuple]]:
+def _read_estimates(path: Path) -> tuple[list[str], list[tuple]]:
     """The header and ``(image_id, params, iso or None)`` rows of a UTF-8 estimates CSV.
 
-    The header starts with PARAM_CSV_HEADER, optionally followed by ``iso``;
-    if ``exact``, it is PARAM_CSV_HEADER or ISO_CSV_HEADER and nothing more.
+    The header is PARAM_CSV_HEADER or ISO_CSV_HEADER and nothing more.
     """
     try:
         reader = csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
@@ -89,13 +88,11 @@ def _read_estimates(path: Path, exact: bool = False) -> tuple[list[str], list[tu
         lines = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"{path} is not a readable UTF-8 CSV file: {exc}") from exc
-    if exact and header not in (PARAM_CSV_HEADER, ISO_CSV_HEADER):
+    if header not in (PARAM_CSV_HEADER, ISO_CSV_HEADER):
         raise DomainError(
             f"{path} must have header {','.join(PARAM_CSV_HEADER)} or {','.join(ISO_CSV_HEADER)}"
         )
-    if header is None or header[: len(PARAM_CSV_HEADER)] != PARAM_CSV_HEADER:
-        raise DomainError(f"{path} must start with header {','.join(PARAM_CSV_HEADER)}")
-    has_iso = header[5:6] == ["iso"]
+    has_iso = header == ISO_CSV_HEADER
     rows = []
     for line_num, row in lines:
         try:
@@ -195,9 +192,11 @@ def _read_flat_series(root) -> list[tuple[float, Iterator[np.ndarray]]]:
 
 
 def _cmd_estimate(args) -> int:
+    if args.append and Path(args.append).resolve() == Path(args.out).resolve():
+        raise ConfigurationError(f"--append {args.append} would replace the estimate at --out")
     header, rows = PARAM_CSV_HEADER, []
     if args.append and Path(args.append).exists():
-        header, rows = _read_estimates(Path(args.append), exact=True)
+        header, rows = _read_estimates(Path(args.append))
     if args.oracle:
         if not args.flat_series or not args.dark:
             raise ConfigurationError("oracle mode needs --flat-series and --dark")
@@ -397,6 +396,8 @@ class TrainData(Record, error=ConfigurationError, ignore_unknown=True):
             raise ConfigurationError("training config needs a non-empty 'cameras' list")
         if not 0 < self.white_level < math.inf:
             raise ConfigurationError(f"white_level must be finite and > 0, got {self.white_level}")
+        if self.out_log and Path(self.out_log).resolve() == Path(self.out_checkpoint).resolve():
+            raise ConfigurationError(f"out_log {self.out_log} would replace the checkpoint")
 
 
 def _cmd_train(args) -> int:

@@ -47,19 +47,17 @@ def param_targets(params, weights=DEFAULT_PARAM_WEIGHTS) -> np.ndarray:
     return np.stack([param_transform_r(p, weights) for p in params])
 
 
-def inverse_param_transform(
-    r: np.ndarray, weights=DEFAULT_PARAM_WEIGHTS, floor: float = PARAM_FLOOR
-) -> NoiseParams:
-    """Map an r-space vector back to parameters, flooring the positives."""
+def inverse_param_transform(r: np.ndarray, weights=DEFAULT_PARAM_WEIGHTS) -> NoiseParams:
+    """Map an r-space vector back to parameters, flooring the positives at ``PARAM_FLOOR``."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (4,):
         raise ShapeError(f"expected a 4-vector, got shape {r.shape}")
     w1, w2, w3, w4 = weights
     return NoiseParams(
-        K=max(r[0] / w1, floor),
-        sigma=max(math.exp(min(r[1] / w2, _EXP_CLIP)), floor),
+        K=max(r[0] / w1, PARAM_FLOOR),
+        sigma=max(math.exp(min(r[1] / w2, _EXP_CLIP)), PARAM_FLOOR),
         mu_c=r[2] / w3,
-        sigma_r=max(math.exp(min(r[3] / w4, _EXP_CLIP)), floor),
+        sigma_r=max(math.exp(min(r[3] / w4, _EXP_CLIP)), PARAM_FLOOR),
     )
 
 

@@ -150,14 +150,14 @@ def _pool_backward(dh, cache):
 
 def _nonlin_forward(z, kind):
     """Apply the nonlinearity in place; its output is also the backward cache."""
-    out = np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
-    return out, out
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
 
 
-def _nonlin_backward(da, kind, cache):
+def _nonlin_backward(da, kind, a):
+    """``da`` through the nonlinearity whose output was ``a``."""
     if kind == "relu":
-        return da * (cache > 0.0)
-    return da * (1.0 - cache**2)
+        return da * (a > 0.0)
+    return da * (1.0 - a**2)
 
 
 class EstimatorNetwork:
@@ -208,12 +208,12 @@ class EstimatorNetwork:
             stages.append((weight.astype(dtype), bias.astype(dtype), stride, pad))
         return stages
 
-    def forward_batch(self, patches: np.ndarray, want_cache: bool = False, dtype=np.float64):
+    def forward_batch(self, patches: np.ndarray, dtype=np.float64):
         """Run the full network on a stack of patches.
 
         Returns ``(h, z, r, cache)`` where ``h`` is the pooled feature,
-        ``z`` the projection, and ``r`` the head output in transformed
-        parameter space; ``cache`` is None unless requested.  The
+        ``z`` the projection, ``r`` the head output in transformed
+        parameter space, and ``cache`` what ``backward_batch`` reads.  The
         convolutions compute in ``dtype``; ``h`` and everything after it
         are float64.
         """
@@ -224,51 +224,48 @@ class EstimatorNetwork:
             self.config.extractor, self._conv_stages(dtype)
         ):
             y, conv_cache = _conv_forward(x, weight, bias, stride, pad)
-            x, nl_cache = _nonlin_forward(y, stage.nonlinearity)
-            conv_caches.append((conv_cache, nl_cache, weight, stride))
+            x = _nonlin_forward(y, stage.nonlinearity)
+            conv_caches.append((conv_cache, x, weight, stride))
 
         h, pool_cache = _pool_forward(x)
         z, proj_caches = self._mlp_forward("projector", self.config.projector, h)
         r, head_caches = self._mlp_forward("head", self.config.head, h)
 
-        cache = (conv_caches, pool_cache, proj_caches, head_caches, h) if want_cache else None
-        return h, z, r, cache
+        return h, z, r, (conv_caches, pool_cache, proj_caches, head_caches)
 
     def _mlp_forward(self, prefix, widths, x):
-        caches = []
+        """The MLP output and each layer's input; ReLU between layers, none after the last."""
+        inputs = []
         a = x
         for i in range(len(widths)):
-            z = a @ self.params[f"{prefix}.{i}.weight"].T + self.params[f"{prefix}.{i}.bias"]
-            caches.append(a)
-            a = np.maximum(z, 0.0) if i < len(widths) - 1 else z
+            inputs.append(a)
+            a = a @ self.params[f"{prefix}.{i}.weight"].T + self.params[f"{prefix}.{i}.bias"]
             if i < len(widths) - 1:
-                caches.append(z)
-        return a, caches
+                a = np.maximum(a, 0.0)
+        return a, inputs
 
-    def _mlp_backward(self, prefix, widths, caches, dout, grads):
+    def _mlp_backward(self, prefix, widths, inputs, dout, grads):
         da = dout
         for i in reversed(range(len(widths))):
             if i < len(widths) - 1:
-                da = da * (caches[2 * i + 1] > 0.0)
-            a_in = caches[2 * i]
-            grads[f"{prefix}.{i}.weight"] += da.T @ a_in
+                # This layer's output is the next one's input, and relu(z) > 0 iff z > 0.
+                da = da * (inputs[i + 1] > 0.0)
+            grads[f"{prefix}.{i}.weight"] += da.T @ inputs[i]
             grads[f"{prefix}.{i}.bias"] += da.sum(axis=0)
             da = da @ self.params[f"{prefix}.{i}.weight"]
         return da
 
-    def backward_batch(self, cache, dz=None, dr=None) -> dict[str, np.ndarray]:
-        """Analytic gradients for upstream gradients on z and/or r.
+    def backward_batch(self, cache, dz, dr=None) -> dict[str, np.ndarray]:
+        """Analytic gradients for upstream gradients ``dz`` on z and ``dr`` on r.
 
         Returns a dict covering every parameter (zeros where no gradient
-        flows).  Pass ``dz``/``dr`` of shape (N, dim) or None to skip a
-        path entirely.
+        flows).  ``dz`` and ``dr`` are shaped (N, dim); ``dr=None`` skips
+        the head entirely.
         """
-        conv_caches, pool_cache, proj_caches, head_caches, h = cache
+        conv_caches, pool_cache, proj_caches, head_caches = cache
         grads = {name: np.zeros_like(value) for name, value in self.params.items()}
 
-        dh = np.zeros_like(h)
-        if dz is not None:
-            dh += self._mlp_backward("projector", self.config.projector, proj_caches, dz, grads)
+        dh = self._mlp_backward("projector", self.config.projector, proj_caches, dz, grads)
         if dr is not None:
             dh += self._mlp_backward("head", self.config.head, head_caches, dr, grads)
 

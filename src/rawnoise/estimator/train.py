@@ -26,13 +26,7 @@ from ..parallel import run_units
 from ..streams import DATA_STREAM, SHUFFLE_STREAM, derive_stream
 from .checkpoint import EstimatorCheckpoint
 from .config import EstimatorConfig
-from .losses import (
-    DEFAULT_PARAM_WEIGHTS,
-    batch_contrastive,
-    batch_regression,
-    inverse_param_transform,
-    param_targets,
-)
+from .losses import batch_contrastive, batch_regression, inverse_param_transform, param_targets
 from .network import EstimatorNetwork, parameter_shapes
 from .triplets import TripletBatch, augment_triplet
 
@@ -62,7 +56,7 @@ def _loss_and_grads(
     """
     config = net.config
     n_anchors = len(batch)
-    _, z, r, cache = net.forward_batch(_stacked(batch), want_cache=want_grads, dtype=dtype)
+    _, z, r, cache = net.forward_batch(_stacked(batch), dtype=dtype)
 
     c_loss, d_proj = batch_contrastive(z, n_anchors, config.tau, want_grads)
     if not joint:
@@ -266,8 +260,8 @@ def heldout_weighted_mse(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -
     return loss
 
 
-def mean_r_baseline_mse(train_params, heldout_params, weights=DEFAULT_PARAM_WEIGHTS) -> float:
-    """MSE of the constant predictor that always emits the training mean."""
+def mean_r_baseline_mse(train_params, heldout_params, weights) -> float:
+    """MSE of the constant predictor that always emits the training mean, in r-space ``weights``."""
     train_r = param_targets(train_params, weights)
     held_r = param_targets(heldout_params, weights)
     mean_r = train_r.mean(axis=0)

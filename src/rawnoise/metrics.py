@@ -89,27 +89,25 @@ def build_histogram(
     return NoiseHistogram(edges=edges, masses=counts / values.size, count=int(values.size))
 
 
-def kl_divergence(p: NoiseHistogram, q: NoiseHistogram, epsilon: float = DEFAULT_EPSILON) -> float:
-    """``sum p ln(p/q)`` after epsilon smoothing and renormalization."""
+def kl_divergence(p: NoiseHistogram, q: NoiseHistogram) -> float:
+    """``sum p ln(p/q)`` after ``DEFAULT_EPSILON`` smoothing and renormalization."""
     if p.bins != q.bins or not np.array_equal(p.edges, q.edges):
         raise ShapeError("histograms must share identical bin geometry")
-    p_s = p.masses + epsilon
-    q_s = q.masses + epsilon
+    p_s = p.masses + DEFAULT_EPSILON
+    q_s = q.masses + DEFAULT_EPSILON
     p_s = p_s / p_s.sum()
     q_s = q_s / q_s.sum()
     return float(np.sum(p_s * np.log(p_s / q_s)))
 
 
-def score_record(
-    p: NoiseHistogram, q: NoiseHistogram, epsilon: float = DEFAULT_EPSILON
-) -> dict:
+def score_record(p: NoiseHistogram, q: NoiseHistogram) -> dict:
     """JSON-ready report: score plus the configuration that produced it."""
     lo, hi = p.value_range
     return {
         "bins": p.bins,
         "range": [lo, hi],
-        "epsilon": epsilon,
-        "kl": kl_divergence(p, q, epsilon),
+        "epsilon": DEFAULT_EPSILON,
+        "kl": kl_divergence(p, q),
         "samples_p": p.count,
         "samples_q": q.count,
     }

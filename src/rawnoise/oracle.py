@@ -1,13 +1,16 @@
 """Statistical noise-parameter estimation from controlled frame sets.
 
-These estimators calibrate the noise components one at a time from flat
-and dark frames, exactly the way a camera noise-model dataset is built:
-the color bias is the dark-frame mean, the row component is isolated from
-dark-frame row statistics, and the gain plus the total signal-independent
-std come from photon-transfer regression of per-level variance against
-signal level.  Those variances do not move with the bias, so no frame is
-bias-subtracted.  No learning is involved, so the composed estimate
-doubles as the ground-truth oracle for the learned estimator.
+These estimators calibrate the noise components from flat and dark
+frames, exactly the way a camera noise-model dataset is built (the dark-
+frame calibration follows ELD, Wei et al., CVPR 2020), with one function
+per frame set: ``estimate_bias_and_row_sigma`` takes the color bias as the
+dark-frame mean and isolates the row component from dark-frame row
+statistics, and ``estimate_gain_and_read`` takes the gain plus the total
+signal-independent std from photon-transfer regression of per-level
+variance against signal level.  Those variances do not move with the bias,
+so no frame is bias-subtracted.  No learning is involved, so the composed
+estimate, ``estimate_params_oracle``, doubles as the ground-truth oracle
+for the learned estimator.
 
 A frame set (the dark frames, or the flats of one level) is any iterable
 of float64 ``(4, H, W)`` frames of one shape, or their stack; the packed
@@ -113,8 +116,15 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
     return slope, math.sqrt(intercept)
 
 
-def _dark_statistics(dark_frames) -> tuple[float, float]:
+def estimate_bias_and_row_sigma(dark_frames) -> tuple[float, float]:
     """The color bias and the row-noise std ``(mu_c, sigma_r)`` of a dark set, in one pass.
+
+    The bias is the global mean of all dark-frame pixels.  The variance of
+    physical-row means is ``sigma_r^2 + sigma^2 / W`` for W pixels per
+    physical row; the per-pixel term is removed using the within-frame
+    variance of physical-column means, whose expectation is ``sigma^2 / H``
+    (the shared row offsets cancel out of the within-frame spread).  The
+    corrected value is floored at zero before the root.
 
     Each frame is read, checked and reduced to its sum and the ``ddof=1``
     variances of its physical-row and physical-column means, and is dropped
@@ -144,23 +154,6 @@ def _dark_statistics(dark_frames) -> tuple[float, float]:
     return _sorted_sum(sums) / (count * size), sigma_r
 
 
-def estimate_row_sigma(dark_frames) -> float:
-    """Row-noise std from dark frames via row-mean variance.
-
-    The variance of physical-row means is ``sigma_r^2 + sigma^2 / W`` for
-    W pixels per physical row; the per-pixel term is removed using the
-    within-frame variance of physical-column means, whose expectation is
-    ``sigma^2 / H`` (the shared row offsets cancel out of the within-frame
-    spread).  The corrected value is floored at zero before the root.
-    """
-    return _dark_statistics(dark_frames)[1]
-
-
-def estimate_color_bias(dark_frames) -> float:
-    """Global mean of all dark-frame pixels."""
-    return _dark_statistics(dark_frames)[0]
-
-
 def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
     """Compose the component estimators into a full parameter tuple.
 
@@ -172,7 +165,7 @@ def estimate_params_oracle(flat_series, dark_frames) -> NoiseParams:
     flats of each level, are any iterable of packed frames, or their stack,
     and each set is reduced in one pass that holds one frame at a time.
     """
-    mu_c, sigma_r = _dark_statistics(dark_frames)
+    mu_c, sigma_r = estimate_bias_and_row_sigma(dark_frames)
     gain, sigma_total = estimate_gain_and_read(flat_series)
     sigma = math.sqrt(max(0.0, sigma_total**2 - sigma_r**2))
 

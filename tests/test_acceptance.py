@@ -258,7 +258,9 @@ class TestAcceptance:
         stage1_eval = evaluate_triplets(toy_run["stage1_checkpoint"], heldout)
 
         mse = heldout_weighted_mse(toy_run["checkpoint"], heldout)
-        baseline = mean_r_baseline_mse(toy_run["train_params"], heldout.anchor_params)
+        baseline = mean_r_baseline_mse(
+            toy_run["train_params"], heldout.anchor_params, toy_run["config"].param_weights
+        )
 
         ok = final_eval["accuracy"] >= 0.9
         ok &= mse <= 0.25 * baseline

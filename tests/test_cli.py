@@ -130,6 +130,23 @@ class TestCalibrate:
         assert capsys.readouterr().err.startswith(f"DOMAIN: {csv_path} row 3: ")
         assert not out.exists()
 
+    def test_header_with_other_columns_is_refused(self, tmp_path, capsys):
+        """calibrate reads the two headers estimate --append writes, and no other:
+        an iso column after another column is not read as iso."""
+        csv_path = tmp_path / "est.csv"
+        csv_path.write_text(
+            "image_id,K,sigma,mu_c,sigma_r,note,iso\n"
+            "a,0.5,1.0,0.0,0.5,x,100\n"
+            "b,1.0,1.3,0.0,0.7,y,200\n"
+        )
+        out = tmp_path / "camera.json"
+        assert run("calibrate", "--estimates", csv_path, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"DOMAIN: {csv_path} must have header image_id,K,sigma,mu_c,sigma_r "
+            "or image_id,K,sigma,mu_c,sigma_r,iso\n"
+        )
+        assert not out.exists()
+
 
 class TestSampleParams:
     def _camera(self, tmp_path, k_min=2.0, k_max=2.0):
@@ -712,6 +729,20 @@ class TestEstimateAppend:
         assert csv_path.read_bytes() == before
         assert not (tmp_path / "out.json").exists()
 
+    def test_append_to_the_out_path_is_refused(self, tmp_path, capsys, monkeypatch):
+        """The estimate JSON would be replaced by the CSV; the same file,
+        spelled two ways, is refused before any frame is read."""
+        argv = _oracle_inputs(tmp_path)
+        before = set(tmp_path.rglob("*"))
+        read = []
+        monkeypatch.setattr(cli, "read_tensor", lambda path: read.append(path))
+        assert run(*argv, "--append", f"{tmp_path}/flats/../out.json") == 2
+        assert capsys.readouterr().err == (
+            f"CONFIG: --append {tmp_path}/flats/../out.json would replace the estimate at --out\n"
+        )
+        assert read == []
+        assert set(tmp_path.rglob("*")) == before
+
 
 class TestOutOfMemory:
     """A size whose arrays cannot be allocated gives a coded exit 2.
@@ -776,6 +807,24 @@ class TestTrainCommand:
         first = (tmp_path / "model.nest").read_bytes()
         assert run("train", "--config", config_path) == 0
         assert (tmp_path / "model.nest").read_bytes() == first
+
+    def test_log_at_the_checkpoint_path_is_refused_before_training(self, tmp_path, capsys):
+        """The loss CSV would replace the checkpoint, so nothing is trained or written."""
+        camera = tmp_path / "camera.json"
+        camera.write_text(json.dumps(synthetic.default_camera_bank()[0].as_dict()))
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "extractor": [{"kernel": 3, "stride": 2, "width": 4}], "feature_dim": 8,
+            "projector": [6, 4], "head": [6, 4], "patch_height": 8, "patch_width": 8,
+            "batch_size": 4, "epochs_per_stage": 1, "train_triplets": 8,
+            "cameras": [str(camera)], "scene_pool_size": 4,
+            "out_checkpoint": str(tmp_path / "t.nest"),
+            "out_log": f"{tmp_path}/./t.nest",
+        }))
+        before = set(tmp_path.rglob("*"))
+        assert run("train", "--config", config_path) == 2
+        assert capsys.readouterr().err.startswith(f"CONFIG: out_log {tmp_path}/./t.nest ")
+        assert set(tmp_path.rglob("*")) == before
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config_path = tmp_path / "train.json"

@@ -55,7 +55,7 @@ def test_heldout_quality_over_seeds():
             )
             accuracy = evaluate_triplets(checkpoint, heldout)["accuracy"]
             ratio = heldout_weighted_mse(checkpoint, heldout) / mean_r_baseline_mse(
-                train_params, heldout.anchor_params
+                train_params, heldout.anchor_params, config.param_weights
             )
             rows.append((seed, heldout_seed, accuracy, ratio))
 

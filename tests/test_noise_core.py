@@ -19,7 +19,7 @@ from rawnoise.noise_core import (
     sample_shot,
     synthesize_noise,
 )
-from rawnoise.oracle import estimate_color_bias
+from rawnoise.oracle import estimate_bias_and_row_sigma
 from rawnoise.streams import derive_stream
 from rawnoise.wavelets import haar_dwt2
 
@@ -189,7 +189,7 @@ PACKED_CHECKS = {
     "as_patch": lambda shape: as_patch(np.zeros(shape)),
     "sample_row": lambda shape: sample_row(shape, 1.0, np.random.default_rng(0)),
     "haar_dwt2": lambda shape: haar_dwt2(np.zeros(shape)),
-    "estimate_color_bias": lambda shape: estimate_color_bias([np.zeros(shape)]),
+    "estimate_color_bias": lambda shape: estimate_bias_and_row_sigma([np.zeros(shape)])[0],
 }
 
 

@@ -9,18 +9,17 @@ from rawnoise.errors import DomainError, InsufficientDataError, ShapeError
 from rawnoise.noise_core import NoiseParams, synthesize_noise
 from rawnoise.oracle import (
     _checked_frames,
-    estimate_color_bias,
+    estimate_bias_and_row_sigma,
     estimate_gain_and_read,
     estimate_params_oracle,
-    estimate_row_sigma,
 )
 from rawnoise.streams import derive_stream
 
 FLATS = [(level, [np.full((4, 16, 16), level)] * 2) for level in (10.0, 40.0)]
-# Each dark-set estimator, called with dark frames only.
+# Each dark-set estimate, called with dark frames only.
 DARK_ESTIMATORS = {
-    "bias": estimate_color_bias,
-    "row_sigma": estimate_row_sigma,
+    "bias": lambda darks: estimate_bias_and_row_sigma(darks)[0],
+    "row_sigma": lambda darks: estimate_bias_and_row_sigma(darks)[1],
     "oracle": lambda darks: estimate_params_oracle(FLATS, darks),
 }
 # Each flat-series estimator, called with a flat series only.
@@ -95,48 +94,48 @@ class TestRowSigma:
         params = NoiseParams(K=1.0, sigma=2.0, mu_c=0.0, sigma_r=0.0)
         rng = derive_stream(102, 0)
         frames = make_dark_frames(params, 64, (4, 128, 128), rng)
-        assert estimate_row_sigma(frames) <= 0.05 * 2.0
+        assert estimate_bias_and_row_sigma(frames)[1] <= 0.05 * 2.0
 
     def test_recovery_small(self):
         params = NoiseParams(K=1.0, sigma=2.0, mu_c=0.0, sigma_r=0.5)
         rng = derive_stream(103, 0)
         frames = make_dark_frames(params, 64, (4, 128, 128), rng)
-        assert abs(estimate_row_sigma(frames) - 0.5) <= 0.10 * 0.5
+        assert abs(estimate_bias_and_row_sigma(frames)[1] - 0.5) <= 0.10 * 0.5
 
     def test_recovery_dominant(self):
         params = NoiseParams(K=1.0, sigma=1.0, mu_c=-1.0, sigma_r=3.0)
         rng = derive_stream(104, 0)
         frames = make_dark_frames(params, 64, (4, 128, 128), rng)
-        assert abs(estimate_row_sigma(frames) - 3.0) <= 0.10 * 3.0
+        assert abs(estimate_bias_and_row_sigma(frames)[1] - 3.0) <= 0.10 * 3.0
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
-            estimate_row_sigma([])
+            estimate_bias_and_row_sigma([])
 
 
 class TestColorBias:
     def test_constant_frames_exact(self):
-        assert estimate_color_bias([np.full((4, 8, 8), 5.0)] * 4) == 5.0
+        assert estimate_bias_and_row_sigma([np.full((4, 8, 8), 5.0)] * 4)[0] == 5.0
 
     def test_gaussian_mean(self):
         params = NoiseParams(K=1.0, sigma=2.0, mu_c=1.0, sigma_r=0.0)
         rng = derive_stream(105, 0)
         frames = make_dark_frames(params, 16, (4, 128, 128), rng)  # > 10^6 px
-        assert abs(estimate_color_bias(frames) - 1.0) <= 0.01
+        assert abs(estimate_bias_and_row_sigma(frames)[0] - 1.0) <= 0.01
 
     def test_negative_bias(self):
         params = NoiseParams(K=1.0, sigma=2.0, mu_c=-0.3, sigma_r=0.0)
         rng = derive_stream(106, 0)
         frames = make_dark_frames(params, 16, (4, 128, 128), rng)
-        assert abs(estimate_color_bias(frames) + 0.3) <= 0.01
+        assert abs(estimate_bias_and_row_sigma(frames)[0] + 0.3) <= 0.01
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
-            estimate_color_bias([])
+            estimate_bias_and_row_sigma([])
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ShapeError):
-            estimate_color_bias([np.zeros((4, 16, 16)), np.zeros((4, 16, 32))])
+            estimate_bias_and_row_sigma([np.zeros((4, 16, 16)), np.zeros((4, 16, 32))])
 
 
 class TestComposedOracle:
@@ -312,14 +311,14 @@ class TestEstimatorProperties:
         n, height, width = 6, 16, 12
         darks = rng.normal(0.7, 2.0, size=(n, 4, height, width))
         darks += rng.normal(0.0, 1.5, size=(n, 4, height, 1))  # row offsets
-        assert estimate_color_bias(darks) == pytest.approx(darks.mean(), rel=1e-12)
+        assert estimate_bias_and_row_sigma(darks)[0] == pytest.approx(darks.mean(), rel=1e-12)
 
         rows = np.concatenate([darks[:, 0:2].mean((1, 3)), darks[:, 2:4].mean((1, 3))], axis=1)
         cols = np.concatenate([darks[:, 0::2].mean((1, 2)), darks[:, 1::2].mean((1, 2))], axis=1)
         v_row = np.var(rows, axis=1, ddof=1).mean()
         v_col = np.var(cols, axis=1, ddof=1).mean()
         sigma_r = np.sqrt(v_row - 2 * height * v_col / (2 * width))
-        assert estimate_row_sigma(darks) == pytest.approx(sigma_r, rel=1e-12)
+        assert estimate_bias_and_row_sigma(darks)[1] == pytest.approx(sigma_r, rel=1e-12)
 
         low = rng.normal(10.0, 3.0, size=(n, 4, 8, 8))
         high = rng.normal(40.0, 4.0, size=(n, 4, 8, 8))

@@ -16,11 +16,15 @@ from rawnoise.estimator import (
     EstimatorCheckpoint,
     EstimatorNetwork,
     backward,
+    draw_params,
+    heldout_weighted_mse,
     make_triplet_batch,
+    mean_r_baseline_mse,
     param_transform_r,
     total_loss,
     train,
 )
+from rawnoise.estimator.losses import param_targets
 from rawnoise.estimator.network import parameter_shapes
 from rawnoise.streams import derive_stream
 
@@ -169,6 +173,22 @@ class TestTotalLossOps:
         config, checkpoint, batch, _ = self._setup()
         grads = backward(batch, checkpoint)
         assert set(grads) == set(parameter_shapes(config))
+
+
+def test_a_head_that_emits_the_training_mean_scores_the_baseline():
+    """Under non-default weights, a head fixed at the training mean r scores
+    exactly the mean-r baseline: both are measured in the model's r-space."""
+    weights = (2.0, 1.0, 10.0, 10.0)
+    config = small_config(param_weights=weights, head=(6, 5, 4))
+    scenes, bank = small_pools()
+    train_params = [draw_params(bank, derive_stream(502, i)) for i in range(16)]
+    params = EstimatorNetwork.initialize(config).params
+    params["head.2.weight"][:] = 0.0
+    params["head.2.bias"][:] = param_targets(train_params, weights).mean(axis=0)
+    heldout = make_triplet_batch(scenes, bank, derive_stream(503, 0), 5)
+
+    mse = heldout_weighted_mse(EstimatorCheckpoint(config, params), heldout)
+    assert mse == mean_r_baseline_mse(train_params, heldout.anchor_params, config.param_weights)
 
 
 # sha256 of the toy checkpoint's bytes; a declared change to the training

@@ -5,7 +5,7 @@ eval-kl, train.  Every command is deterministic given its flags and seeds,
 embeds provenance (seed, stream index, configs) in its outputs, writes
 files atomically, and reports failures as a single machine-parsable line
 ``CODE: message`` on stderr with exit status 2 (validation) or 3
-(internal).
+(internal).  No output may replace an input or another output (see ``_check_outputs``).
 """
 
 from __future__ import annotations
@@ -55,9 +55,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _params_path(value: str) -> Path | None:
+    """The file a --params value names, or None for an inline JSON object."""
+    return None if value.strip().startswith("{") else Path(value)
+
+
 def _load_params_arg(value: str) -> NoiseParams:
-    """Accept either a JSON file path or an inline JSON object."""
-    source = value if value.strip().startswith("{") else Path(value)
+    source = _params_path(value) or value
     return NoiseParams.from_dict(load_json(source, DomainError, "noise parameters"))
 
 
@@ -92,21 +96,39 @@ def _read_estimates(path: Path) -> tuple[list[str], list[tuple]]:
         raise DomainError(
             f"{path} must have header {','.join(PARAM_CSV_HEADER)} or {','.join(ISO_CSV_HEADER)}"
         )
-    has_iso = header == ISO_CSV_HEADER
     rows = []
     for line_num, row in lines:
         try:
-            if len(row) < len(PARAM_CSV_HEADER):
-                raise ValueError(f"expected {len(PARAM_CSV_HEADER)} fields, got {len(row)}")
+            if not len(PARAM_CSV_HEADER) <= len(row) <= len(header):  # iso may be left out
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             image_id, k, sigma, mu_c, sigma_r = row[:5]
             params = NoiseParams(
                 K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
             )
-            iso = float(row[5]) if has_iso and len(row) > 5 and row[5] != "" else None
+            iso = float(row[5]) if len(row) > 5 and row[5] != "" else None
         except ValueError as exc:
             raise DomainError(f"{path} row {line_num}: {exc}") from exc
         rows.append((image_id, params, iso))
     return header, rows
+
+
+def _check_outputs(inputs, outputs) -> None:
+    """Refuse, before anything is read, an output that would replace an input or an earlier output.
+
+    Entries are ``(flag or key, path as given or None, what the file holds)``.  An output
+    clashes with a path it resolves to or lies under, and with a file it is a hard link of.
+    """
+    seen = [(name, noun, Path(path).resolve()) for name, path, noun in inputs if path is not None]
+    for name, path, noun in outputs:
+        if path is None:
+            continue
+        target = Path(path).resolve()
+        for other, other_noun, prior in seen:
+            if target.is_relative_to(prior) or (
+                target.exists() and prior.exists() and target.samefile(prior)
+            ):
+                raise ConfigurationError(f"{name} {path} would replace the {other_noun} at {other}")
+        seen.append((name, noun, target))
 
 
 # ----------------------------------------------------------------------
@@ -114,8 +136,12 @@ def _read_estimates(path: Path) -> tuple[list[str], list[tuple]]:
 
 
 def _cmd_synthesize(args) -> int:
-    if Path(args.out).suffix == ".json":  # the manifest path, with_suffix(".json"), is --out
-        raise ConfigurationError(f"--out {args.out} would be replaced by its own manifest")
+    out = Path(args.out)
+    manifest = out.with_suffix(".json") if out.name else None  # "." names no file to suffix
+    _check_outputs(
+        [("--clean", args.clean, "clean patch"), ("--params", _params_path(args.params), "params")],
+        [("--out", args.out, "noisy patch"), ("--out manifest", manifest, "manifest")],
+    )
     clean = read_tensor(args.clean)
     params = _load_params_arg(args.params)
     rng = derive_stream(args.seed, args.stream_index)
@@ -131,7 +157,7 @@ def _cmd_synthesize(args) -> int:
         seed=args.seed,
         stream_index=args.stream_index,
         extensions=extensions,
-    ).save(Path(args.out).with_suffix(".json"))
+    ).save(manifest)
     return 0
 
 
@@ -140,6 +166,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _check_outputs([("--estimates", args.estimates, "estimates")], [("--out", args.out, "camera")])
     _, rows = _read_estimates(Path(args.estimates))
     model = calibration.fit_log_linear(p for _, p, _ in rows)
     iso_pairs = [(iso, p.K) for _, p, iso in rows if iso is not None]
@@ -192,8 +219,11 @@ def _read_flat_series(root) -> list[tuple[float, Iterator[np.ndarray]]]:
 
 
 def _cmd_estimate(args) -> int:
-    if args.append and Path(args.append).resolve() == Path(args.out).resolve():
-        raise ConfigurationError(f"--append {args.append} would replace the estimate at --out")
+    _check_outputs(  # --append is read, then rewritten: it clashes only with the other paths
+        [("--input", args.input, "noisy patch"), ("--checkpoint", args.checkpoint, "checkpoint"),
+         ("--flat-series", args.flat_series, "flat frames"), ("--dark", args.dark, "dark frames")],
+        [("--out", args.out, "estimate"), ("--append", args.append, "estimates")],
+    )
     header, rows = PARAM_CSV_HEADER, []
     if args.append and Path(args.append).exists():
         header, rows = _read_estimates(Path(args.append))
@@ -229,6 +259,9 @@ def _cmd_estimate(args) -> int:
 def _cmd_sample_params(args) -> int:
     if args.count < 1:
         raise DomainError(f"--count must be >= 1, got {args.count}")
+    provenance = f"{args.out}.provenance.json"
+    outputs = [("--out", args.out, "tuples"), ("--out provenance", provenance, "provenance")]
+    _check_outputs([("--camera", args.camera, "camera")], outputs)
     model = _load_camera(args.camera)
     rng = derive_stream(args.seed, 0)
     rows = []
@@ -240,7 +273,7 @@ def _cmd_sample_params(args) -> int:
         rows.append(_params_row(f"sample_{i:05d}", params))
     atomic_write_text(Path(args.out), _csv_text(PARAM_CSV_HEADER, rows))
     save_json(
-        str(args.out) + ".provenance.json",
+        provenance,
         {
             "command": "sample-params",
             "camera": model.as_dict(),
@@ -396,8 +429,8 @@ class TrainData(Record, error=ConfigurationError, ignore_unknown=True):
             raise ConfigurationError("training config needs a non-empty 'cameras' list")
         if not 0 < self.white_level < math.inf:
             raise ConfigurationError(f"white_level must be finite and > 0, got {self.white_level}")
-        if self.out_log and Path(self.out_log).resolve() == Path(self.out_checkpoint).resolve():
-            raise ConfigurationError(f"out_log {self.out_log} would replace the checkpoint")
+        if "" in (self.out_checkpoint, self.out_log):
+            raise ConfigurationError("out_checkpoint and out_log must be non-empty paths")
 
 
 def _cmd_train(args) -> int:
@@ -406,6 +439,10 @@ def _cmd_train(args) -> int:
     config = EstimatorConfig.from_dict(
         {k: v for k, v in record.items() if k not in TrainData.__dataclass_fields__}
     )
+    log_path = data.out_log or data.out_checkpoint + ".losses.csv"
+    cameras = [(f"cameras[{i}]", path, "camera") for i, path in enumerate(data.cameras)]
+    outputs = [("out_checkpoint", data.out_checkpoint, "checkpoint"), ("out_log", log_path, "log")]
+    _check_outputs([("--config", args.config, "config"), *cameras], outputs)
 
     bank = [_load_camera(path) for path in data.cameras]
     scene_rng = derive_stream(config.seed, SCENE_STREAM)
@@ -416,13 +453,12 @@ def _cmd_train(args) -> int:
     checkpoint = train_estimator(config, scene_pool, bank)
     checkpoint.save(data.out_checkpoint)
 
-    log_path = Path(data.out_log or data.out_checkpoint + ".losses.csv")
     parts = ("contrastive", "regression", "total")
     rows = [
         [row["stage"], row["epoch"], *(_fmt(row[part]) for part in parts)]
         for row in checkpoint.metadata.get("loss_log", [])
     ]
-    atomic_write_text(log_path, _csv_text(["stage", "epoch", *parts], rows))
+    atomic_write_text(Path(log_path), _csv_text(["stage", "epoch", *parts], rows))
     print(
         f"checkpoint written to {data.out_checkpoint} "
         f"(final total loss {checkpoint.metadata['final_losses']['total']:.6g})"

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, determinism, error codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -117,7 +118,9 @@ class TestCalibrate:
         assert json.loads(out.read_text())["alpha"] == pytest.approx(0.005, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "bad_row", ["img1,1.0,1.0", "img1,1.0,abc,0.0,1.0"], ids=["short", "non_numeric"]
+        "bad_row",
+        ["img1,1.0,1.0", "img1,1.0,abc,0.0,1.0", "img1,1.0,1.0,0.0,1.0,100"],
+        ids=["short", "non_numeric", "long"],
     )
     def test_malformed_row_is_domain_error(self, tmp_path, capsys, bad_row):
         """The header is row 1, so the bad third line is reported as row 3."""
@@ -743,6 +746,150 @@ class TestEstimateAppend:
         assert read == []
         assert set(tmp_path.rglob("*")) == before
 
+    def test_row_with_more_fields_than_its_header_is_refused(self, tmp_path, capsys):
+        """An extra field would be dropped when the CSV is rewritten."""
+        csv_path = tmp_path / "est.csv"
+        csv_path.write_text("image_id,K,sigma,mu_c,sigma_r,iso\na,0.5,1.0,0.0,0.5,100,note\n")
+        before = csv_path.read_bytes()
+        assert run(*_oracle_inputs(tmp_path), "--append", csv_path) == 2
+        assert capsys.readouterr().err == f"DOMAIN: {csv_path} row 2: expected 6 fields, got 7\n"
+        assert csv_path.read_bytes() == before
+        assert not (tmp_path / "out.json").exists()
+
+
+def _tree(base) -> dict:
+    """Every path under ``base``, with its bytes when it is a file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in base.rglob("*")}
+
+
+def _camera_file(path) -> Path:
+    path.write_text(json.dumps(synthetic.default_camera_bank()[0].as_dict()))
+    return path
+
+
+def _train_config(base, **keys) -> Path:
+    """A toy training config at ``base/train.json`` over the camera ``base/camera.json``."""
+    config_path = base / "train.json"
+    config_path.write_text(json.dumps({
+        "extractor": [{"kernel": 3, "stride": 2, "width": 4}], "feature_dim": 8,
+        "projector": [6, 4], "head": [6, 4], "patch_height": 8, "patch_width": 8,
+        "batch_size": 4, "epochs_per_stage": 1, "train_triplets": 8, "scene_pool_size": 4,
+        "cameras": [str(_camera_file(base / "camera.json"))],
+        "out_checkpoint": str(base / "model.nest"), **keys,
+    }))
+    return config_path
+
+
+def _with_out(argv, out) -> list:
+    """``argv``, which ends in ``--out PATH``, with ``out`` as that path."""
+    return [*argv[:-1], out]
+
+
+def _calibrate_at_estimates(base):
+    csv_path = base / "e.csv"
+    csv_path.write_text("image_id,K,sigma,mu_c,sigma_r\na,0.5,1.0,0.0,0.5\n")
+    return ["calibrate", "--estimates", csv_path, "--out", csv_path], "--out", "--estimates"
+
+
+def _calibrate_at_a_hard_link(base):
+    argv, *_ = _calibrate_at_estimates(base)
+    os.link(base / "e.csv", base / "link.csv")
+    return _with_out(argv, base / "link.csv"), "--out", "--estimates"
+
+
+def _sample_params_at_camera(base):
+    camera = _camera_file(base / "cam.json")
+    argv = ["sample-params", "--camera", camera, "--count", 2, "--seed", 1, "--out", camera]
+    return argv, "--out", "--camera"
+
+
+def _sample_params_provenance_at_camera(base):
+    camera = _camera_file(base / "x.provenance.json")
+    argv = ["sample-params", "--camera", camera, "--count", 2, "--seed", 1, "--out", base / "x"]
+    return argv, "--out provenance", "--camera"
+
+
+def _synthesize_manifest_at_params(base):
+    (base / "p.json").write_text(PARAMS_JSON)
+    argv = _synthesize_inputs(base)
+    argv[argv.index("--params") + 1] = base / "p.json"
+    return _with_out(argv, base / "p.nraw"), "--out manifest", "--params"
+
+
+def _synthesize_at_clean(base):
+    return _with_out(_synthesize_inputs(base), base / "clean.nraw"), "--out", "--clean"
+
+
+def _estimate_at_input(base):
+    return _with_out(_estimate_inputs(base), base / "patch.nraw"), "--out", "--input"
+
+
+def _estimate_at_checkpoint(base):
+    return _with_out(_estimate_inputs(base), base / "model.nest"), "--out", "--checkpoint"
+
+
+def _oracle_estimate_in_dark(base):
+    return _with_out(_oracle_inputs(base), base / "darks/noisy_0001.nraw"), "--out", "--dark"
+
+
+def _train_checkpoint_at_config(base):
+    config_path = _train_config(base, out_checkpoint=str(base / "train.json"))
+    return ["train", "--config", config_path], "out_checkpoint", "--config"
+
+
+def _train_log_at_camera(base):
+    config_path = _train_config(base, out_log=str(base / "camera.json"))
+    return ["train", "--config", config_path], "out_log", "cameras[0]"
+
+
+# Each case: (command, build); build(base) writes the inputs under base and
+# returns (argv, the output's flag or key, the input's flag or key).
+CLASH_CASES = {
+    "calibrate_out_at_estimates": ("calibrate", _calibrate_at_estimates),
+    "calibrate_out_at_a_hard_link": ("calibrate", _calibrate_at_a_hard_link),
+    "sample_params_out_at_camera": ("sample-params", _sample_params_at_camera),
+    "sample_params_provenance_at_camera": ("sample-params", _sample_params_provenance_at_camera),
+    "synthesize_manifest_at_params": ("synthesize", _synthesize_manifest_at_params),
+    "synthesize_out_at_clean": ("synthesize", _synthesize_at_clean),
+    "estimate_out_at_input": ("estimate", _estimate_at_input),
+    "estimate_out_at_checkpoint": ("estimate", _estimate_at_checkpoint),
+    "estimate_out_in_dark_dir": ("estimate", _oracle_estimate_in_dark),
+    "train_checkpoint_at_config": ("train", _train_checkpoint_at_config),
+    "train_log_at_camera": ("train", _train_log_at_camera),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASH_CASES))
+def test_output_that_would_replace_an_input_is_refused(tmp_path, capsys, monkeypatch, case):
+    """Exit 2 with one CONFIG line naming both paths' flags or keys, before
+    anything is read: every file is left as it was and nothing is created."""
+    command, build = CLASH_CASES[case]
+    argv, out_name, in_name = build(tmp_path)
+    assert argv[0] == command
+    monkeypatch.setattr(cli, "train_estimator", lambda *a: pytest.fail("training ran"))
+    before = _tree(tmp_path)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"CONFIG: {out_name} ") and err.endswith(f" at {in_name}\n")
+    assert err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
+def test_every_writing_command_has_a_clash_case():
+    """Each command with an --out, and train, has a case above, so none skips
+    the output rule.  gen-dataset is exempt: it claims a new --out with one
+    mkdir, so no input can lie under it."""
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    writers = {
+        name for name, parser in subcommands.items()
+        if any(action.type is cli._out_path for action in parser._actions)
+    }
+    assert "gen-dataset" in writers and "eval-kl" not in writers
+    covered = {command for command, _ in CLASH_CASES.values()}
+    assert {*writers, "train"} - {"gen-dataset"} <= covered
+
 
 class TestOutOfMemory:
     """A size whose arrays cannot be allocated gives a coded exit 2.
@@ -825,6 +972,20 @@ class TestTrainCommand:
         assert run("train", "--config", config_path) == 2
         assert capsys.readouterr().err.startswith(f"CONFIG: out_log {tmp_path}/./t.nest ")
         assert set(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("key", ["out_checkpoint", "out_log"])
+    def test_empty_output_path_is_refused_before_training(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        """As an empty --out is a USAGE error, an empty output key is a CONFIG one."""
+        config_path = _train_config(tmp_path, **{key: ""})
+        monkeypatch.setattr(cli, "train_estimator", lambda *a: pytest.fail("training ran"))
+        before = _tree(tmp_path)
+        assert run("train", "--config", config_path) == 2
+        assert capsys.readouterr().err == (
+            "CONFIG: out_checkpoint and out_log must be non-empty paths\n"
+        )
+        assert _tree(tmp_path) == before
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config_path = tmp_path / "train.json"

@@ -5,7 +5,8 @@ eval-kl, train.  Every command is deterministic given its flags and seeds,
 embeds provenance (seed, stream index, configs) in its outputs, writes
 files atomically, and reports failures as a single machine-parsable line
 ``CODE: message`` on stderr with exit status 2 (validation) or 3
-(internal).  No output may replace an input or another output (see ``_check_outputs``).
+(internal).  No output may replace a directory, an input or another output
+(see ``_check_outputs``).
 """
 
 from __future__ import annotations
@@ -113,16 +114,19 @@ def _read_estimates(path: Path) -> tuple[list[str], list[tuple]]:
 
 
 def _check_outputs(inputs, outputs) -> None:
-    """Refuse, before anything is read, an output that would replace an input or an earlier output.
+    """Refuse, before anything is read, an output that would replace a directory or another path.
 
     Entries are ``(flag or key, path as given or None, what the file holds)``.  An output
-    clashes with a path it resolves to or lies under, and with a file it is a hard link of.
+    clashes with an existing directory, with an input or earlier output it resolves to or lies
+    under, and with a file it is a hard link of.
     """
     seen = [(name, noun, Path(path).resolve()) for name, path, noun in inputs if path is not None]
     for name, path, noun in outputs:
         if path is None:
             continue
         target = Path(path).resolve()
+        if target.is_dir():
+            raise ConfigurationError(f"{name} {path} would replace the directory at {path}")
         for other, other_noun, prior in seen:
             if target.is_relative_to(prior) or (
                 target.exists() and prior.exists() and target.samefile(prior)

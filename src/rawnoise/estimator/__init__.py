@@ -7,10 +7,7 @@ from .network import EstimatorNetwork, parameter_shapes
 from .train import (
     backward,
     estimate,
-    evaluate_triplets,
-    heldout_weighted_mse,
     make_triplet_batch,
-    mean_r_baseline_mse,
     total_loss,
     train,
 )
@@ -26,11 +23,8 @@ __all__ = [
     "backward",
     "draw_params",
     "estimate",
-    "evaluate_triplets",
-    "heldout_weighted_mse",
     "inverse_param_transform",
     "make_triplet_batch",
-    "mean_r_baseline_mse",
     "param_transform_r",
     "parameter_shapes",
     "total_loss",

@@ -61,22 +61,22 @@ def inverse_param_transform(r: np.ndarray, weights=DEFAULT_PARAM_WEIGHTS) -> Noi
     )
 
 
-def batch_contrastive(projections: np.ndarray, n_anchors: int, tau: float, want_grad: bool):
-    """Mean in-batch contrastive loss over anchors, with optional gradient.
+def batch_contrastive(projections: np.ndarray, n_anchors: int, tau: float):
+    """Mean in-batch contrastive loss over anchors, and its gradient.
 
     Args:
         projections: (3B, dim) stack ordered [anchors, positives, negatives];
             the positive of anchor ``i`` sits at row ``B + i``.
         n_anchors: B.
         tau: temperature.
-        want_grad: also return d(mean loss)/d(projections).
+
+    Returns ``(loss, d_proj)`` with ``d_proj`` = d(mean loss)/d(projections).
 
     Every projection except the anchor itself appears in the anchor's
     denominator, i.e. all other in-batch projections act as negatives.
     """
     if not tau > 0:
         raise DomainError(f"temperature must be positive, got {tau}")
-    total = projections.shape[0]
     norms = np.linalg.norm(projections, axis=1)
     if np.any(norms == 0.0):
         raise DomainError("cosine similarity undefined for zero-norm projections")
@@ -95,8 +95,6 @@ def batch_contrastive(projections: np.ndarray, n_anchors: int, tau: float, want_
     pos_logits = logits[idx, n_anchors + idx]
     losses = log_denom - pos_logits
     loss = float(losses.mean())
-    if not want_grad:
-        return loss, None
 
     g = exp_rows / denom  # softmax over the anchor's candidates
     g[idx, n_anchors + idx] -= 1.0
@@ -111,12 +109,10 @@ def batch_contrastive(projections: np.ndarray, n_anchors: int, tau: float, want_
     return loss, d_proj
 
 
-def batch_regression(r_pred: np.ndarray, r_target: np.ndarray, want_grad: bool):
-    """Mean squared r-space error over a batch, with optional gradient."""
+def batch_regression(r_pred: np.ndarray, r_target: np.ndarray):
+    """Mean squared r-space error over a batch, and its gradient with respect to ``r_pred``."""
     if r_pred.shape != r_target.shape:
         raise ShapeError(f"prediction/target shape mismatch: {r_pred.shape} vs {r_target.shape}")
     diff = r_pred - r_target
     loss = float(np.sum(diff**2) / r_pred.shape[0])
-    if not want_grad:
-        return loss, None
     return loss, 2.0 * diff / r_pred.shape[0]

@@ -1,4 +1,4 @@
-"""Two-stage training of the contrastive estimator, plus inference ops.
+"""Two-stage training of the contrastive estimator, and single-patch inference.
 
 Stage 1 trains the extractor and projector on the contrastive objective
 alone; stage 2 attaches the regression head and minimizes the joint loss
@@ -12,8 +12,8 @@ the epoch shuffles each use a stream derived from ``config.seed``, and
 triplet ``i`` of the dataset draws on child ``i`` of its stream, so the
 dataset is drawn on every CPU with the same bytes at any thread count.  The
 training step runs the network's convolutions in float32 over float64
-master parameters and Adam state; ``total_loss``, ``backward`` and the
-inference ops compute in float64 throughout.
+master parameters and Adam state; ``total_loss``, ``backward`` and
+``estimate`` compute in float64 throughout.
 """
 
 from __future__ import annotations
@@ -40,55 +40,44 @@ def _stacked(batch: TripletBatch) -> np.ndarray:
     return batch.patches.reshape(-1, *batch.patches.shape[2:])
 
 
-def _loss_and_grads(
-    net: EstimatorNetwork,
-    batch: TripletBatch,
-    joint: bool,
-    want_grads: bool,
-    dtype=np.float64,
-):
-    """Loss components (and gradients) for one batch.
+def _losses(net: EstimatorNetwork, batch: TripletBatch, joint: bool, dtype=np.float64):
+    """Loss components of one batch and the upstream gradients of their total.
 
     ``joint=False`` is the stage-1 objective (contrastive only);
-    ``joint=True`` is the full loss.  Returns ``(parts, grads)`` where
-    parts has keys contrastive / regression / total.  The convolutions
-    compute in ``dtype``; losses and gradients are float64.
+    ``joint=True`` is the full loss.  Returns ``(parts, cache, dz, dr)``:
+    parts has keys contrastive / regression / total, and
+    ``net.backward_batch(cache, dz, dr)`` gives the parameter gradients of
+    the total; ``dr`` is None in stage 1.  The convolutions compute in
+    ``dtype``; losses and gradients are float64.
     """
     config = net.config
     n_anchors = len(batch)
     _, z, r, cache = net.forward_batch(_stacked(batch), dtype=dtype)
 
-    c_loss, d_proj = batch_contrastive(z, n_anchors, config.tau, want_grads)
+    c_loss, dz = batch_contrastive(z, n_anchors, config.tau)
     if not joint:
-        parts = {"contrastive": c_loss, "regression": 0.0, "total": c_loss}
-        grads = net.backward_batch(cache, dz=d_proj) if want_grads else None
-        return parts, grads
+        return {"contrastive": c_loss, "regression": 0.0, "total": c_loss}, cache, dz, None
 
     targets = param_targets(batch.anchor_params, config.param_weights)
-    reg_loss, d_r = batch_regression(r[:n_anchors], targets, want_grads)
+    reg_loss, d_r = batch_regression(r[:n_anchors], targets)
     total = reg_loss + config.tau_loss * c_loss
     parts = {"contrastive": c_loss, "regression": reg_loss, "total": total}
-    if not want_grads:
-        return parts, None
-
-    dr_full = np.zeros_like(r)
-    dr_full[:n_anchors] = d_r
-    grads = net.backward_batch(cache, dz=config.tau_loss * d_proj, dr=dr_full)
-    return parts, grads
+    dr = np.zeros_like(r)
+    dr[:n_anchors] = d_r
+    return parts, cache, config.tau_loss * dz, dr
 
 
 def total_loss(batch: TripletBatch, checkpoint: EstimatorCheckpoint) -> float:
-    """The joint training objective on one batch (no gradients)."""
+    """The joint training objective on one batch (no network backward pass)."""
     net = EstimatorNetwork(checkpoint.config, checkpoint.params)
-    parts, _ = _loss_and_grads(net, batch, joint=True, want_grads=False)
-    return parts["total"]
+    return _losses(net, batch, joint=True)[0]["total"]
 
 
 def backward(batch: TripletBatch, checkpoint: EstimatorCheckpoint) -> dict[str, np.ndarray]:
     """Exact analytic gradients of :func:`total_loss` for every parameter."""
     net = EstimatorNetwork(checkpoint.config, checkpoint.params)
-    _, grads = _loss_and_grads(net, batch, joint=True, want_grads=True)
-    return grads
+    _, cache, dz, dr = _losses(net, batch, joint=True)
+    return net.backward_batch(cache, dz, dr)
 
 
 class Adam:
@@ -192,9 +181,9 @@ def train(
                 idx = order[start : start + config.batch_size]
                 if idx.size < 2:
                     continue  # a lone triplet has no in-batch contrast
-                parts, grads = _loss_and_grads(
-                    net, _take(dataset, idx), joint, True, dtype=np.float32
-                )
+                parts, cache, dz, dr = _losses(net, _take(dataset, idx), joint, np.float32)
+                grads = net.backward_batch(cache, dz, dr)
+                del cache  # else the next step's forward holds two caches at once
                 optimizer.step(net.params, grads, lr)
                 for key in epoch_parts:
                     epoch_parts[key] += parts[key]
@@ -227,42 +216,3 @@ def estimate(patch: np.ndarray, checkpoint: EstimatorCheckpoint) -> NoiseParams:
     net = EstimatorNetwork(checkpoint.config, checkpoint.params)
     _, _, r, _ = net.forward_batch(as_patch(patch)[None])
     return inverse_param_transform(r[0], checkpoint.config.param_weights)
-
-
-def evaluate_triplets(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -> dict:
-    """Held-out projection quality of a checkpoint on a triplet batch.
-
-    Accuracy is the fraction of triplets whose anchor projects closer (in
-    cosine) to its positive than to its own negative; separation is the
-    mean cosine gap.
-    """
-    net = EstimatorNetwork(checkpoint.config, checkpoint.params)
-    _, z, _, _ = net.forward_batch(_stacked(batch))
-    n = len(batch)
-    unit = z / np.linalg.norm(z, axis=1, keepdims=True)
-    cos_pos = np.sum(unit[:n] * unit[n : 2 * n], axis=1)
-    cos_neg = np.sum(unit[:n] * unit[2 * n :], axis=1)
-    return {
-        "accuracy": float(np.mean(cos_pos > cos_neg)),
-        "separation": float(np.mean(cos_pos) - np.mean(cos_neg)),
-        "cos_pos": float(np.mean(cos_pos)),
-        "cos_neg": float(np.mean(cos_neg)),
-    }
-
-
-def heldout_weighted_mse(checkpoint: EstimatorCheckpoint, batch: TripletBatch) -> float:
-    """Mean squared r-space error of anchor predictions on held-out data."""
-    config = checkpoint.config
-    net = EstimatorNetwork(config, checkpoint.params)
-    _, _, r_pred, _ = net.forward_batch(batch.patches[0])
-    targets = param_targets(batch.anchor_params, config.param_weights)
-    loss, _ = batch_regression(r_pred, targets, want_grad=False)
-    return loss
-
-
-def mean_r_baseline_mse(train_params, heldout_params, weights) -> float:
-    """MSE of the constant predictor that always emits the training mean, in r-space ``weights``."""
-    train_r = param_targets(train_params, weights)
-    held_r = param_targets(heldout_params, weights)
-    mean_r = train_r.mean(axis=0)
-    return float(np.sum((held_r - mean_r) ** 2) / held_r.shape[0])

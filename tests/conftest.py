@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from heldout import train_anchor_params
 from scipy import stats
 
 import rawnoise
@@ -26,12 +27,11 @@ from rawnoise.estimator import (
     EstimatorCheckpoint,
     EstimatorConfig,
     EstimatorNetwork,
-    draw_params,
     make_triplet_batch,
     train,
 )
 from rawnoise.metrics import NoiseHistogram
-from rawnoise.streams import DATA_STREAM, derive_stream
+from rawnoise.streams import SCENE_STREAM, derive_stream
 
 TOY_SEED = 11
 
@@ -118,9 +118,10 @@ def toy_config() -> EstimatorConfig:
     )
 
 
-def _toy_scenes(config: EstimatorConfig):
+def toy_scenes(config: EstimatorConfig):
+    """The 64-scene pool of a toy run, on its seed's scene stream."""
     return synthetic.make_scene_pool(
-        derive_stream(TOY_SEED, 4), 64, config.patch_height, config.patch_width
+        derive_stream(config.seed, SCENE_STREAM), 64, config.patch_height, config.patch_width
     )
 
 
@@ -130,7 +131,7 @@ def _train_toy(out_dir: Path) -> None:
     stage_snapshots = {}
     checkpoint = train(
         config,
-        _toy_scenes(config),
+        toy_scenes(config),
         synthetic.default_camera_bank(),
         on_stage_end=lambda stage, params: stage_snapshots.__setitem__(stage, params),
     )
@@ -197,18 +198,14 @@ def toy_run(pytestconfig):
         _stop_toy_child(pytestconfig)
 
     config = toy_config()
-    scenes = _toy_scenes(config)
+    scenes = toy_scenes(config)
     bank = synthetic.default_camera_bank()
     init_net = EstimatorNetwork.initialize(config)
     init_checkpoint = EstimatorCheckpoint(
         config=config, params={k: v.copy() for k, v in init_net.params.items()}
     )
     heldout = make_triplet_batch(scenes, bank, derive_stream(999, 0), 300)
-    # The training set's anchor tuples: each triplet stream draws its tuple first.
-    train_params = tuple(
-        draw_params(bank, stream)
-        for stream in derive_stream(TOY_SEED, DATA_STREAM).spawn(config.train_triplets)
-    )
+    train_params = train_anchor_params(bank, config)
 
     return {
         "config": config,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from cli_sequence import run_cli_sequence
 from conftest import gaussian_histogram
+from heldout import score_heldout
 from scipy import stats
 
 from rawnoise import synthetic
@@ -21,10 +22,7 @@ from rawnoise.estimator import (
     EstimatorCheckpoint,
     EstimatorConfig,
     estimate,
-    evaluate_triplets,
-    heldout_weighted_mse,
     make_triplet_batch,
-    mean_r_baseline_mse,
     backward,
     total_loss,
 )
@@ -252,15 +250,12 @@ class TestAcceptance:
     def test_criterion_08_toy_contrastive_training(self, toy_run):
         """Toy run: heldout triplet accuracy >= 0.9, weighted MSE <= 0.25x the
         mean-predictor baseline, and stage 1 improves separation over init."""
-        heldout = toy_run["heldout"]
-        final_eval = evaluate_triplets(toy_run["checkpoint"], heldout)
-        init_eval = evaluate_triplets(toy_run["init_checkpoint"], heldout)
-        stage1_eval = evaluate_triplets(toy_run["stage1_checkpoint"], heldout)
+        heldout, train_params = toy_run["heldout"], toy_run["train_params"]
+        final_eval = score_heldout(toy_run["checkpoint"], heldout, train_params)
+        init_eval = score_heldout(toy_run["init_checkpoint"], heldout, train_params)
+        stage1_eval = score_heldout(toy_run["stage1_checkpoint"], heldout, train_params)
 
-        mse = heldout_weighted_mse(toy_run["checkpoint"], heldout)
-        baseline = mean_r_baseline_mse(
-            toy_run["train_params"], heldout.anchor_params, toy_run["config"].param_weights
-        )
+        mse, baseline = final_eval["mse"], final_eval["baseline"]
 
         ok = final_eval["accuracy"] >= 0.9
         ok &= mse <= 0.25 * baseline

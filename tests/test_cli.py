@@ -762,6 +762,11 @@ def _tree(base) -> dict:
     return {p: p.read_bytes() if p.is_file() else None for p in base.rglob("*")}
 
 
+def _mkdir(path) -> Path:
+    path.mkdir()
+    return path
+
+
 def _camera_file(path) -> Path:
     path.write_text(json.dumps(synthetic.default_camera_bank()[0].as_dict()))
     return path
@@ -842,8 +847,19 @@ def _train_log_at_camera(base):
     return ["train", "--config", config_path], "out_log", "cameras[0]"
 
 
+def _train_checkpoint_at_a_directory(base):
+    config_path = _train_config(base, out_checkpoint=str(_mkdir(base / "sub")))
+    return ["train", "--config", config_path], "out_checkpoint", base / "sub"
+
+
+def _out_at_a_directory(build):
+    """``build``'s case with its ``--out`` at the new directory ``base/sub``."""
+    return lambda base: (_with_out(build(base)[0], _mkdir(base / "sub")), "--out", base / "sub")
+
+
 # Each case: (command, build); build(base) writes the inputs under base and
-# returns (argv, the output's flag or key, the input's flag or key).
+# returns (argv, the output's flag or key, the input's flag or key or the
+# directory that the output names).
 CLASH_CASES = {
     "calibrate_out_at_estimates": ("calibrate", _calibrate_at_estimates),
     "calibrate_out_at_a_hard_link": ("calibrate", _calibrate_at_a_hard_link),
@@ -856,6 +872,12 @@ CLASH_CASES = {
     "estimate_out_in_dark_dir": ("estimate", _oracle_estimate_in_dark),
     "train_checkpoint_at_config": ("train", _train_checkpoint_at_config),
     "train_log_at_camera": ("train", _train_log_at_camera),
+    "synthesize_out_at_a_directory": ("synthesize", _out_at_a_directory(_synthesize_at_clean)),
+    "calibrate_out_at_a_directory": ("calibrate", _out_at_a_directory(_calibrate_at_estimates)),
+    "estimate_out_at_a_directory": ("estimate", _out_at_a_directory(_estimate_at_input)),
+    "sample_params_out_at_a_directory": (
+        "sample-params", _out_at_a_directory(_sample_params_at_camera)),
+    "train_checkpoint_at_a_directory": ("train", _train_checkpoint_at_a_directory),
 }
 
 
@@ -872,6 +894,16 @@ def test_output_that_would_replace_an_input_is_refused(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith(f"CONFIG: {out_name} ") and err.endswith(f" at {in_name}\n")
     assert err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
+def test_out_at_the_working_directory_is_refused(tmp_path, capsys, monkeypatch):
+    """``--out .`` names no file to write: refused before the clean patch is read."""
+    argv = _with_out(_synthesize_inputs(tmp_path), ".")
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "CONFIG: --out . would replace the directory at .\n"
     assert _tree(tmp_path) == before
 
 

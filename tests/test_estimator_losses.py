@@ -56,7 +56,7 @@ def _unit(theta):
 
 def _one_anchor(z, z_pos, negs, tau):
     """The in-batch loss of one anchor: rows [z, z_pos, *negs], every row but z competing."""
-    loss, _ = batch_contrastive(np.array([z, z_pos, *negs]), 1, tau, want_grad=False)
+    loss, _ = batch_contrastive(np.array([z, z_pos, *negs]), 1, tau)
     return loss
 
 
@@ -76,7 +76,7 @@ class TestContrastiveLoss:
         """Three anchors, seven negatives each, at tau=0.1 agree with naive summation to 1e-10."""
         rng = np.random.default_rng(81)
         z = rng.normal(size=(9, 16))
-        loss, _ = batch_contrastive(z, 3, tau=0.1, want_grad=False)
+        loss, _ = batch_contrastive(z, 3, tau=0.1)
         assert loss == pytest.approx(naive_contrastive(z, 3, 0.1), abs=1e-10)
 
     def test_zero_norm_rejected(self):
@@ -114,7 +114,7 @@ class TestBatchLosses:
         rng = np.random.default_rng(84)
         n = 5
         z = rng.normal(size=(3 * n, 8))
-        loss, _ = batch_contrastive(z, n, tau=0.1, want_grad=False)
+        loss, _ = batch_contrastive(z, n, tau=0.1)
         per_anchor = []
         for i in range(n):
             negs = [z[j] for j in range(3 * n) if j not in (i, n + i)]
@@ -125,12 +125,12 @@ class TestBatchLosses:
         """Perfect regression has zero gradient; a saturated contrastive
         arrangement has gradient magnitude below 1e-8."""
         r = np.array([[1.0, 2.0, 3.0, 4.0]])
-        loss, grad = batch_regression(r, r.copy(), want_grad=True)
+        loss, grad = batch_regression(r, r.copy())
         assert loss == 0.0
         assert np.all(np.abs(grad) <= 1e-8)
 
         z = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])  # anchor, positive, negative
-        loss, grad = batch_contrastive(z, 1, tau=0.1, want_grad=True)
+        loss, grad = batch_contrastive(z, 1, tau=0.1)
         assert loss < 1e-8
         assert np.all(np.abs(grad) <= 1e-8)
 
@@ -138,14 +138,14 @@ class TestBatchLosses:
         rng = np.random.default_rng(85)
         n = 3
         z = rng.normal(size=(3 * n, 6))
-        _, grad = batch_contrastive(z, n, tau=0.5, want_grad=True)
+        _, grad = batch_contrastive(z, n, tau=0.5)
         h = 1e-6
         for k in np.ndindex(z.shape):
             orig = z[k]
             z[k] = orig + h
-            up, _ = batch_contrastive(z, n, tau=0.5, want_grad=False)
+            up, _ = batch_contrastive(z, n, tau=0.5)
             z[k] = orig - h
-            down, _ = batch_contrastive(z, n, tau=0.5, want_grad=False)
+            down, _ = batch_contrastive(z, n, tau=0.5)
             z[k] = orig
             fd = (up - down) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-9)

@@ -14,18 +14,12 @@ import statistics
 from dataclasses import replace
 
 import pytest
-from conftest import toy_config
+from conftest import toy_config, toy_scenes
+from heldout import score_heldout, train_anchor_params
 
 from rawnoise import synthetic
-from rawnoise.estimator import (
-    draw_params,
-    evaluate_triplets,
-    heldout_weighted_mse,
-    make_triplet_batch,
-    mean_r_baseline_mse,
-    train,
-)
-from rawnoise.streams import DATA_STREAM, derive_stream
+from rawnoise.estimator import make_triplet_batch, train
+from rawnoise.streams import derive_stream
 
 TRAIN_SEEDS = (11, 12, 13)
 HELDOUT_SEEDS = (999, 1000, 1001)
@@ -41,22 +35,16 @@ def test_heldout_quality_over_seeds():
     rows = []
     for seed in TRAIN_SEEDS:
         config = replace(toy_config(), seed=seed)
-        scenes = synthetic.make_scene_pool(
-            derive_stream(seed, 4), 64, config.patch_height, config.patch_width
-        )
+        scenes = toy_scenes(config)
         checkpoint = train(config, scenes, bank)
-        train_params = tuple(
-            draw_params(bank, stream)
-            for stream in derive_stream(seed, DATA_STREAM).spawn(config.train_triplets)
-        )
+        train_params = train_anchor_params(bank, config)
         for heldout_seed in HELDOUT_SEEDS:
             heldout = make_triplet_batch(
                 scenes, bank, derive_stream(heldout_seed, 0), HELDOUT_TRIPLETS
             )
-            accuracy = evaluate_triplets(checkpoint, heldout)["accuracy"]
-            ratio = heldout_weighted_mse(checkpoint, heldout) / mean_r_baseline_mse(
-                train_params, heldout.anchor_params, config.param_weights
-            )
+            scores = score_heldout(checkpoint, heldout, train_params)
+            accuracy = scores["accuracy"]
+            ratio = scores["mse"] / scores["baseline"]
             rows.append((seed, heldout_seed, accuracy, ratio))
 
     print("\n| train seed | held-out seed | accuracy | MSE ratio |\n|---|---|---|---|")

@@ -2,11 +2,12 @@
 
 The probe table names each known malformed input (a directory where a
 file is expected, non-finite samples and noise parameters that no NRAW
-file or sampler can hold among them) and runs it through the CLI: exit 2,
-the expected code, and no output left behind.  The fuzz tests truncate a tiny
-NEST checkpoint and a small NRAW tensor at every length, XOR every byte
-with four masks, and splice tensor records; every load must succeed or
-raise the format's own error (``BAD_CHECKPOINT`` or ``BAD_TENSOR_FILE``).
+file or sampler can hold, missing frame sets and flags among them) and
+runs it through the CLI: exit 2, the expected code, and no output left
+behind.  The fuzz tests truncate a tiny NEST checkpoint and a small NRAW
+tensor at every length, XOR every byte with four masks, and splice tensor
+records; every load must succeed or raise the format's own error
+(``BAD_CHECKPOINT`` or ``BAD_TENSOR_FILE``).
 """
 
 import math
@@ -147,7 +148,33 @@ def _oracle(base, dark_shapes, flat_shapes) -> list:
             "--out", base / "out.json"]
 
 
+def _set(argv, flag, value) -> list:
+    """``argv`` with ``value`` for ``flag``, or without ``flag`` when ``value`` is None."""
+    i = argv.index(flag)
+    return [*argv[:i], *([] if value is None else [flag, value]), *argv[i + 2:]]
+
+
+def _oracle_with(flag, value):
+    """Good frame sets, with ``value(base)`` for ``flag``, or without ``flag`` if ``value`` is None.
+
+    The flat series is read before the darks, so each dark case has a valid one.
+    """
+    return lambda base: _set(_oracle(base, SQUARE, SQUARE), flag, value and value(base))
+
+
+def _oracle_without_a_level_reference(base) -> list:
+    argv = _oracle(base, SQUARE, SQUARE)
+    (base / "flat" / "level_00" / "clean.nraw").unlink()
+    return argv
+
+
+def _gen_dataset(base, *flags) -> list:
+    return ["gen-dataset", "--out", base / "set", "--seed", 1, "--count", 1, *flags]
+
+
 MIXED = [(16, 16), (16, 32), (16, 16)]
+SQUARE = [(16, 16)] * 3
+PARAMS = '{"K": 1, "sigma": 1, "mu_c": 0, "sigma_r": 1}'
 
 PROBES = {
     "nraw_wrapped_dims": (lambda base: _eval_kl(base, WRAPPED_NRAW), "BAD_TENSOR_FILE"),
@@ -192,7 +219,25 @@ PROBES = {
         lambda base: [*_estimate(base)[:3], "--checkpoint", _directory(base),
                       "--out", base / "out.json"], "IO_ERROR"),
     "estimate_append_directory": (
-        lambda base: [*_estimate(base), "--append", _directory(base)], "IO_ERROR"),
+        lambda base: [*_estimate(base), "--append", _directory(base)], "CONFIG"),
+    "oracle_missing_dark": (_oracle_with("--dark", lambda base: base / "no"), "FILE_NOT_FOUND"),
+    "oracle_missing_flat_series": (
+        _oracle_with("--flat-series", lambda base: base / "no"), "FILE_NOT_FOUND"),
+    "oracle_empty_dark": (_oracle_with("--dark", _directory), "INSUFFICIENT_DATA"),
+    "oracle_level_without_clean": (_oracle_without_a_level_reference, "INSUFFICIENT_DATA"),
+    "oracle_no_level_directories": (_oracle_with("--flat-series", _directory), "INSUFFICIENT_DATA"),
+    "oracle_without_dark": (_oracle_with("--dark", None), "CONFIG"),
+    "estimate_without_checkpoint": (lambda base: _set(_estimate(base), "--checkpoint", None),
+                                    "CONFIG"),
+    "gen_dataset_train_without_camera": (_gen_dataset, "CONFIG"),
+    "gen_dataset_flat_without_params": (
+        lambda base: _gen_dataset(base, "--mode", "flat", "--levels", 2), "CONFIG"),
+    "gen_dataset_flat_without_levels": (
+        lambda base: _gen_dataset(base, "--mode", "flat", "--params", PARAMS), "CONFIG"),
+    "eval_kl_clean_shape_unlike_real": (
+        lambda base: _eval_kl(base, _nraw_float32(0.0), "--clean", base / "synth.nraw"), "DOMAIN"),
+    "seed_not_an_integer": (lambda base: _set(_synthesize(base, PARAMS), "--seed", "abc"), "USAGE"),
+    "white_level_not_a_number": (lambda base: _gen_dataset(base, "--white-level", "abc"), "USAGE"),
 }
 
 

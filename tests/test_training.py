@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import naive_contrastive, toy_config
+from heldout import score_heldout
 
 from rawnoise import synthetic
 from rawnoise.errors import ConfigurationError
@@ -17,9 +18,7 @@ from rawnoise.estimator import (
     EstimatorNetwork,
     backward,
     draw_params,
-    heldout_weighted_mse,
     make_triplet_batch,
-    mean_r_baseline_mse,
     param_transform_r,
     total_loss,
     train,
@@ -187,8 +186,8 @@ def test_a_head_that_emits_the_training_mean_scores_the_baseline():
     params["head.2.bias"][:] = param_targets(train_params, weights).mean(axis=0)
     heldout = make_triplet_batch(scenes, bank, derive_stream(503, 0), 5)
 
-    mse = heldout_weighted_mse(EstimatorCheckpoint(config, params), heldout)
-    assert mse == mean_r_baseline_mse(train_params, heldout.anchor_params, config.param_weights)
+    scores = score_heldout(EstimatorCheckpoint(config, params), heldout, train_params)
+    assert scores["mse"] == scores["baseline"]
 
 
 # sha256 of the toy checkpoint's bytes; a declared change to the training

@@ -313,6 +313,11 @@ def _cmd_gen_dataset(args) -> int:
     for flag in ("count", "height", "width"):
         if getattr(args, flag) < 1:
             raise DomainError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if 4 * args.height * args.width * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise DomainError(
+            f"--height {args.height} by --width {args.width} frames are larger than a numpy "
+            "array can hold"
+        )
     out = Path(args.out)
     header = {
         "command": "gen-dataset",

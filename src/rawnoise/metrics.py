@@ -26,6 +26,7 @@ from .errors import DomainError, InsufficientDataError, ShapeError
 DEFAULT_BINS = 256
 DEFAULT_EPSILON = 1e-10
 RANGE_SIGMAS = 6.0
+HISTOGRAM_BLOCK = 65536  # values binned per pass, as np.histogram does
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,10 @@ def build_histogram(
     """Bin samples uniformly over ``value_range`` and normalize by count.
 
     Values outside the range are clipped into the boundary bins; NaN and
-    infinite samples, and a range that cannot hold ``bins`` finite-sized
-    bins, raise DomainError.  When no range is given the scale-adaptive
-    default is used.
+    infinite samples, more bins than numpy can hold edges for, and a range
+    that cannot hold ``bins`` finite-sized bins raise DomainError.  When no
+    range is given the scale-adaptive default is used.  Counts and edges are
+    those of ``np.histogram`` on the clipped samples.
     """
     values = np.asarray(noise_values, dtype=np.float64).ravel()
     if values.size == 0:
@@ -76,17 +78,45 @@ def build_histogram(
         raise DomainError("histogram samples must be finite")
     if bins < 2:
         raise DomainError(f"need at least 2 bins, got {bins}")
+    if (bins + 1) * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise DomainError(f"{bins} bins need more edges than a numpy array can hold")
     if value_range is None:
         value_range = default_range(values)
     lo, hi = float(value_range[0]), float(value_range[1])
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"histogram range must be finite with lo < hi, got ({lo}, {hi})")
     # numpy's own refusal of these ranges is a ValueError, after overflow warnings.
-    if not (hi - lo < math.inf and np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0)):
+    if not (hi - lo < math.inf and np.all(np.diff(edges := np.linspace(lo, hi, bins + 1)) > 0)):
         raise DomainError(f"histogram range ({lo}, {hi}) cannot hold {bins} finite-sized bins")
 
-    counts, edges = np.histogram(np.clip(values, lo, hi), bins=bins, range=(lo, hi))
+    counts = _uniform_counts(values, lo, hi, edges)
     return NoiseHistogram(edges=edges, masses=counts / values.size, count=int(values.size))
+
+
+def _uniform_counts(values: np.ndarray, lo: float, hi: float, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram(np.clip(values, lo, hi), bins, (lo, hi))[0]`` for ``edges`` from linspace.
+
+    numpy's uniform-bin rule, block by block: a value's bin is its scaled
+    offset from ``lo``, capped at the last bin, then moved down one where the
+    value lies below that bin's lower edge and up one where it reaches the
+    next edge.  The edges decide, and the last bin holds ``hi``.  Clipped
+    values are all in range, so numpy's in-range mask is not needed.
+    """
+    bins = edges.size - 1
+    upper = edges[1:].copy()
+    upper[-1] = math.inf  # the last bin is closed: nothing moves up out of it
+    counts = np.zeros(bins, dtype=np.intp)
+    for start in range(0, values.size, HISTOGRAM_BLOCK):
+        block = np.clip(values[start : start + HISTOGRAM_BLOCK], lo, hi)
+        scaled = block - lo
+        scaled /= hi - lo
+        scaled *= bins
+        index = scaled.astype(np.intp)
+        np.minimum(index, bins - 1, out=index)
+        index[block < edges[index]] -= 1
+        index[block >= upper[index]] += 1
+        counts += np.bincount(index, minlength=bins)
+    return counts
 
 
 def kl_divergence(p: NoiseHistogram, q: NoiseHistogram) -> float:

@@ -45,12 +45,15 @@ GAIN_FLOOR = 1e-12
 MIN_PACKED_WIDTH = 8  # 16 physical columns
 
 
-def _checked_frames(frames, what: str) -> Iterator[np.ndarray]:
-    """Each frame of a set as float64, checked before the next one is read.
+def _checked_frames(frames, what: str) -> Iterator[tuple[np.ndarray, np.float64]]:
+    """Each frame of a set as float64, with its sum, checked before the next one is read.
 
     The frames of a float64 ``(n, 4, H, W)`` stack are its views.  Raises
     ShapeError for an unpacked first frame or a frame shaped unlike the
     first, and DomainError for non-finite values, at the first bad frame.
+    Finiteness is read off the sum, which any NaN or infinity makes
+    non-finite; only a frame whose sum is not finite is scanned, since a sum
+    of finite values can overflow.
     """
     shape = None
     for index, frame in enumerate(frames):
@@ -61,9 +64,10 @@ def _checked_frames(frames, what: str) -> Iterator[np.ndarray]:
             raise ShapeError(
                 f"{what} differ in shape: frame {index} is {frame.shape}, frame 0 is {shape}"
             )
-        if not np.isfinite(frame).all():
+        total = frame.sum()
+        if not math.isfinite(total) and not np.isfinite(frame).all():
             raise DomainError(f"{what} contain non-finite values")
-        yield frame
+        yield frame, total
 
 
 def _sorted_sum(values) -> float:
@@ -92,9 +96,9 @@ def estimate_gain_and_read(flat_series) -> tuple[float, float]:
     for level, frames in flat_series:
         what = f"flats of level {level}"
         sums, squares = [], []
-        for frame in _checked_frames(frames, what):
-            sums.append(frame.sum())
-            deviations = frame - sums[-1] / frame.size
+        for frame, total in _checked_frames(frames, what):
+            sums.append(total)
+            deviations = frame - total / frame.size
             deviations *= deviations  # in place: one frame-sized temporary, not two
             squares.append(deviations.sum())
         if len(sums) < 2:
@@ -133,14 +137,14 @@ def estimate_bias_and_row_sigma(dark_frames) -> tuple[float, float]:
     with DomainError before the next is read.
     """
     sums, row_variances, col_variances = [], [], []
-    for frame in _checked_frames(dark_frames, "dark frames"):
+    for frame, total in _checked_frames(dark_frames, "dark frames"):
         if not sums:
             size, (_, height, width) = frame.size, frame.shape
             if width < MIN_PACKED_WIDTH:
                 raise DomainError(
                     f"row noise needs packed width >= {MIN_PACKED_WIDTH}, got {width}"
                 )
-        sums.append(frame.sum())
+        sums.append(total)
         row_variances.append(np.var(physical_row_means(frame), ddof=1))
         col_variances.append(np.var(physical_col_means(frame), ddof=1))
     if not sums:

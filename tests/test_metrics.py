@@ -58,11 +58,58 @@ class TestBuildHistogram:
         with pytest.raises(DomainError):
             build_histogram(np.ones(4), bins=8, value_range=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bins", [2**60 - 1, 2**62, 10**20])
+    def test_bins_beyond_numpy_edges_rejected(self, bins):
+        """numpy cannot index ``bins + 1`` float64 edges: a ValueError, or an IndexError."""
+        with pytest.raises(DomainError, match=f"^{bins} bins need more edges"):
+            build_histogram(np.ones(4), bins=bins, value_range=(0.0, 1.0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
         """NaN was dropped and +-inf clipped into an edge bin; both are now refused."""
         with pytest.raises(DomainError, match="finite"):
             build_histogram(np.array([0.0, bad, 0.5]), bins=8, value_range=(-1.0, 1.0))
+
+
+def adversarial_samples(rng, edges, size):
+    """``size`` samples drawn around ``edges``: on every edge, one ulp either
+    side, outside the range, float32-rounded, or one constant repeated."""
+    lo, hi = edges[0], edges[-1]
+    width = hi - lo
+    pool = np.concatenate([
+        edges,
+        np.nextafter(edges, math.inf),
+        np.nextafter(edges, -math.inf),
+        rng.uniform(lo - width, hi + width, 64),
+        rng.uniform(lo, hi, 256).astype(np.float32),
+    ])
+    if rng.random() < 0.1:
+        return np.full(size, rng.choice(pool))
+    if size < pool.size:
+        return rng.choice(pool, size)
+    return rng.permutation(np.concatenate([pool, rng.choice(pool, size - pool.size)]))
+
+
+class TestUniformBinRule:
+    """Counts and edges are np.histogram's on the clipped samples, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counts_and_edges_match_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            bins = int(rng.integers(2, 601))
+            lo = rng.uniform(-1e3, 1e3)
+            hi = lo + 10 ** rng.uniform(-6, 4)
+            size = int(rng.choice([1, 2, int(rng.integers(3, 4000)), 65536, 65537, 150000]))
+            values = adversarial_samples(rng, np.linspace(lo, hi, bins + 1), size)
+            hist = build_histogram(values, bins=bins, value_range=(lo, hi))
+            counts, edges = np.histogram(np.clip(values, lo, hi), bins=bins, range=(lo, hi))
+            assert hist.edges.dtype == edges.dtype and np.array_equal(hist.edges, edges)
+            assert np.array_equal(hist.masses, counts / size)
+
+    def test_last_bin_holds_hi(self):
+        hist = build_histogram(np.array([0.0, 0.25, 1.0, 2.0]), bins=4, value_range=(0.0, 1.0))
+        assert np.array_equal(hist.masses, [0.25, 0.25, 0.0, 0.5])
 
 
 class TestKLDivergence:

@@ -1,6 +1,7 @@
 """Round-trip recovery of generating parameters by the statistical oracle."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rawnoise.oracle import (
 )
 from rawnoise.streams import derive_stream
 
+ZEROS = np.zeros((4, 16, 16))
 FLATS = [(level, [np.full((4, 16, 16), level)] * 2) for level in (10.0, 40.0)]
 # Each dark-set estimate, called with dark frames only.
 DARK_ESTIMATORS = {
@@ -27,6 +29,19 @@ FLAT_ESTIMATORS = {
     "gain_and_read": estimate_gain_and_read,
     "oracle": lambda series: estimate_params_oracle(series, [np.zeros((4, 16, 16))] * 2),
 }
+
+
+def recorded_isfinite_shapes(monkeypatch) -> list:
+    """The shape of every array np.isfinite is called on from now on."""
+    shapes = []
+    isfinite = np.isfinite
+
+    def recording_isfinite(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording_isfinite)
+    return shapes
 
 
 def make_flat_series(params, levels, frames_per_level, shape, rng):
@@ -180,23 +195,50 @@ class TestComposedOracle:
         est = self._round_trip(params, 109)
         assert est.K > 0.0 and est.sigma >= 0.0 and est.sigma_r >= 0.0
 
-    def test_each_dark_frame_checked_once(self, monkeypatch):
-        """One call checks each dark frame for finiteness once, although the
-        bias and the row estimators both read the dark set."""
+    def test_no_finite_frame_is_scanned(self, monkeypatch):
+        """Finiteness is read off each frame's sum, so no dark or flat frame
+        whose sum is finite gets a frame-wide isfinite pass."""
         params = NoiseParams(K=1.0, sigma=2.0, mu_c=0.5, sigma_r=0.8)
         rng = derive_stream(110, 0)
         series = make_flat_series(params, (10.0, 40.0), 2, (4, 16, 16), rng)
         darks = make_dark_frames(params, 3, (4, 16, 16), rng)
-        checked = []
-        isfinite = np.isfinite
-
-        def counting_isfinite(x, *args, **kwargs):
-            checked.append(x)
-            return isfinite(x, *args, **kwargs)
-
-        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        scanned = recorded_isfinite_shapes(monkeypatch)
         estimate_params_oracle(series, darks)
-        assert [sum(x is frame for x in checked) for frame in darks] == [1, 1, 1]
+        assert (4, 16, 16) not in scanned
+
+    # Finite frames of +-1e308 whose sums overflow: each case's estimate, what it
+    # gives once the overflow warning is ignored, and how many such frames it reads.
+    OVERFLOWING = {
+        "dark_positive": (
+            lambda: estimate_bias_and_row_sigma([ZEROS, np.full((4, 16, 16), 1e308)]),
+            (np.inf, 0.0),
+            1,
+        ),
+        "dark_negative": (
+            lambda: estimate_bias_and_row_sigma([ZEROS, np.full((4, 16, 16), -1e308)]),
+            (-np.inf, 0.0),
+            1,
+        ),
+        "flat": (
+            lambda: estimate_gain_and_read([(5.0, [np.full((4, 16, 16), 1e308)] * 2), *FLATS]),
+            (np.nan, np.nan),
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_finite_frame_whose_sum_overflows(self, monkeypatch, case):
+        """Such a frame alone is scanned, found finite and reduced as any other:
+        its sum's overflow warning is raised, or once that is ignored the
+        estimate goes on to an infinite or NaN statistic."""
+        estimate, expected, overflowing = self.OVERFLOWING[case]
+        with pytest.raises(RuntimeWarning, match="overflow encountered in reduce"):
+            estimate()
+        scanned = recorded_isfinite_shapes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            np.testing.assert_equal(estimate(), expected)
+        assert scanned.count((4, 16, 16)) == overflowing
 
 
 class TestFirstBadDarkFrame:
@@ -291,7 +333,7 @@ class TestEstimatorProperties:
         dark_stack = np.stack(darks)
 
         for stack in (dark_stack, *(frames for _, frames in stacked)):
-            views = _checked_frames(stack, "frames")
+            views = [view for view, _ in _checked_frames(stack, "frames")]
             assert all(np.shares_memory(view, stack) for view in views)
         assert estimate_params_oracle(stacked, dark_stack) == estimate_params_oracle(series, darks)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +63,10 @@ class CameraModel(Record, error=DomainError, ignore_unknown=True):
     alpha: float | None = None
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"camera model {field.name} must be finite, got {value}")
         if not (self.K_min > 0 and self.K_min <= self.K_max):
             raise DomainError(f"need 0 < K_min <= K_max, got [{self.K_min}, {self.K_max}]")
         if self.sigma_hat < 0 or self.sigma_r_hat < 0:
@@ -122,6 +126,8 @@ def fit_log_linear(params) -> CameraModel:
     log_k = np.log(gains)
     a, b, sigma_hat = ols_line(log_k, np.log(sigmas))
     a_r, b_r, sigma_r_hat = ols_line(log_k, np.log(sigma_rs))
+    with np.errstate(over="ignore"):  # an overflowing mean is refused by CameraModel
+        mu_c_model = float(biases.mean())
 
     return CameraModel(
         a=a,
@@ -132,7 +138,7 @@ def fit_log_linear(params) -> CameraModel:
         sigma_r_hat=sigma_r_hat,
         K_min=float(gains.min()),
         K_max=float(gains.max()),
-        mu_c_model=float(biases.mean()),
+        mu_c_model=mu_c_model,
         alpha=None,
     )
 
@@ -140,7 +146,15 @@ def fit_log_linear(params) -> CameraModel:
 def _sample_sigmas_at(model: CameraModel, log_k: float, rng: np.random.Generator):
     log_sigma = rng.normal(model.a * log_k + model.b, model.sigma_hat)
     log_sigma_r = rng.normal(model.a_r * log_k + model.b_r, model.sigma_r_hat)
-    return math.exp(log_sigma), math.exp(log_sigma_r)
+    try:
+        return math.exp(log_sigma), math.exp(log_sigma_r)
+    except OverflowError:
+        # exp is increasing, so the exp of the larger draw overflows
+        name = "sigma" if log_sigma >= log_sigma_r else "sigma_r"
+        raise DomainError(
+            f"camera model draws log {name} = {max(log_sigma, log_sigma_r):.6g},"
+            " beyond a float's range"
+        ) from None
 
 
 def sample_params(model: CameraModel, rng: np.random.Generator) -> NoiseParams:
@@ -164,7 +178,8 @@ def fit_iso_gain(pairs) -> float:
     gain = np.array([k for _, k in pairs], dtype=np.float64)
     if np.any(iso <= 0) or np.any(gain <= 0):
         raise DomainError("ISO values and gains must be positive")
-    return float(np.sum(iso * gain) / np.sum(iso**2))
+    with np.errstate(all="ignore"):  # a slope that is not finite is refused by CameraModel
+        return float(np.sum(iso * gain) / np.sum(iso**2))
 
 
 def sample_params_at_iso(

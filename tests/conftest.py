@@ -21,7 +21,7 @@ from heldout import train_anchor_params
 from scipy import stats
 
 import rawnoise
-from rawnoise import synthetic
+from rawnoise import parallel, synthetic
 from rawnoise.estimator import (
     ConvStage,
     EstimatorCheckpoint,
@@ -137,6 +137,12 @@ def _train_toy(out_dir: Path) -> None:
     )
     checkpoint.save(out_dir / "final.nest")
     EstimatorCheckpoint(config=config, params=stage_snapshots[1]).save(out_dir / "stage1.nest")
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set the CPU count that ``parallel.run_units`` sees: ``cpus(n)``."""
+    return lambda n: monkeypatch.setattr(parallel, "cpu_count", lambda: n)
 
 
 # The running toy-training child and its output directory, once started.

@@ -2,22 +2,20 @@
 
 import hashlib
 import itertools
-import json
 import sys
 import threading
 
 import pytest
+from cli_harness import PARAMS_JSON, REFUSED_MIDWAY, status, tree, write_json
 
 from rawnoise import cli, parallel, synthetic
-from rawnoise.cli import main
 
-PARAMS = '{"K": 1.5, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}'
 MODES = {
     "train": ["--mode", "train", "--seed", 21, "--count", 7, "--height", 12, "--width", 10],
     "flat": ["--mode", "flat", "--seed", 22, "--count", 3, "--levels", "0,5,40",
-             "--height", 6, "--width", 5, "--params", PARAMS],
+             "--height", 6, "--width", 5, "--params", PARAMS_JSON],
     "dark": ["--mode", "dark", "--seed", 23, "--count", 5, "--height", 7, "--width", 9,
-             "--params", PARAMS],
+             "--params", PARAMS_JSON],
 }
 # Tree digests of MODES (train with the default bank as low/mid/high.json),
 # pinned from a one-thread gen-dataset: any thread count must write these bytes.
@@ -26,10 +24,6 @@ PINNED = {
     "flat": "a86739567ee58ee4ed07c27ef39ced7f19400982925ebebdd36467c7128fef2c",
     "dark": "3310e056bb62ea8de0d5f5d40f0fe420a9c5b20918fe5d2b8e6f1a5ea2d79fe5",
 }
-
-
-def run(*argv):
-    return main([str(a) for a in argv])
 
 
 def _tree_digest(root) -> str:
@@ -41,24 +35,11 @@ def _tree_digest(root) -> str:
     return digest.hexdigest()
 
 
-def _tree(root) -> dict:
-    """Every path under ``root`` with its bytes (None for a directory)."""
-    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
-
-
 def _bank_flags(base) -> list:
     flags = []
     for name, model in zip(("low", "mid", "high"), synthetic.default_camera_bank()):
-        path = base / f"{name}.json"
-        path.write_text(json.dumps(model.as_dict()))
-        flags += ["--camera", path]
+        flags += ["--camera", write_json(base / f"{name}.json", model.as_dict())]
     return flags
-
-
-@pytest.fixture()
-def cpus(monkeypatch):
-    """Set the CPU count gen-dataset sees."""
-    return lambda n: monkeypatch.setattr(parallel, "cpu_count", lambda: n)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -67,7 +48,7 @@ def test_tree_bytes_do_not_depend_on_the_thread_count(tmp_path, cpus, mode):
     for n in (1, 2, 4):
         cpus(n)
         out = tmp_path / f"{mode}_{n}"
-        assert run("gen-dataset", "--out", out, *MODES[mode], *extra) == 0
+        assert status("gen-dataset", "--out", out, *MODES[mode], *extra) == 0
         assert _tree_digest(out) == PINNED[mode], n
 
 
@@ -77,7 +58,7 @@ def test_one_cpu_starts_no_thread(tmp_path, cpus, monkeypatch):
 
     cpus(1)
     monkeypatch.setattr(parallel.threading, "Thread", no_thread)
-    assert run("gen-dataset", "--out", tmp_path / "set", *MODES["dark"]) == 0
+    assert status("gen-dataset", "--out", tmp_path / "set", *MODES["dark"]) == 0
     assert _tree_digest(tmp_path / "set") == PINNED["dark"]
 
 
@@ -107,12 +88,12 @@ def test_stress_more_threads_than_cpus(tmp_path, cpus):
         parallel.run_units(3000, ran.append)
         assert sorted(ran) == list(range(3000))
         argv = ["gen-dataset", "--mode", "dark", "--seed", 23, "--count", 60,
-                "--height", 4, "--width", 4, "--params", PARAMS]
-        assert run(*argv, "--out", tmp_path / "threads") == 0
+                "--height", 4, "--width", 4, "--params", PARAMS_JSON]
+        assert status(*argv, "--out", tmp_path / "threads") == 0
     finally:
         sys.setswitchinterval(interval)
     cpus(1)
-    assert run(*argv, "--out", tmp_path / "serial") == 0
+    assert status(*argv, "--out", tmp_path / "serial") == 0
     assert _tree_digest(tmp_path / "threads") == _tree_digest(tmp_path / "serial")
 
 
@@ -177,11 +158,11 @@ def test_existing_out_refused_untouched(tmp_path, cpus, capsys):
     (full / "noisy").mkdir(parents=True)
     (full / "noisy" / "patch_00002.json").write_text("kept")
     for out in (empty, full):
-        before = _tree(out)
-        assert run("gen-dataset", "--out", out, "--mode", "train", "--seed", 4, "--count", 12,
-                   "--height", 16, "--width", 16, *bank) == 2
+        before = tree(out)
+        assert status("gen-dataset", "--out", out, "--mode", "train", "--seed", 4, "--count", 12,
+                      "--height", 16, "--width", 16, *bank) == 2
         assert capsys.readouterr().err == f"IO_ERROR: [Errno 17] File exists: '{out}'\n"
-        assert _tree(out) == before
+        assert tree(out) == before
 
 
 def test_concurrent_runs_on_one_new_out(tmp_path, cpus, capsys):
@@ -194,7 +175,7 @@ def test_concurrent_runs_on_one_new_out(tmp_path, cpus, capsys):
 
         def call():
             start.wait()
-            codes.append(run("gen-dataset", "--out", out, *MODES["dark"]))
+            codes.append(status("gen-dataset", "--out", out, *MODES["dark"]))
 
         callers = [threading.Thread(target=call) for _ in range(2)]
         for caller in callers:
@@ -208,22 +189,14 @@ def test_concurrent_runs_on_one_new_out(tmp_path, cpus, capsys):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize(
-    "mode, flags",
-    [
-        ("flat", ["--levels", "4,1e30", "--params",
-                  '{"K": 1e-10, "sigma": 1.0, "mu_c": 0.0, "sigma_r": 1.0}']),
-        ("dark", ["--params", '{"K": 1.0, "sigma": 1e300, "mu_c": 0.0, "sigma_r": 1.0}']),
-    ],
-    ids=["flat_shot_rate", "dark_float32_overflow"],
-)
+@pytest.mark.parametrize("mode, flags", list(REFUSED_MIDWAY.values()), ids=list(REFUSED_MIDWAY))
 def test_refused_run_removes_what_it_wrote(tmp_path, cpus, capsys, n, mode, flags):
     """The refused run removes --out and its missing parent, and nothing beside them."""
     cpus(n)
     out = tmp_path / "new" / "set"
     (tmp_path / "notes.txt").write_text("kept")
-    assert run("gen-dataset", "--out", out, "--seed", 1, "--mode", mode, "--count", 6,
-               "--height", 8, "--width", 8, *flags) == 2
+    assert status("gen-dataset", "--out", out, "--seed", 1, "--mode", mode, "--count", 6,
+                  "--height", 8, "--width", 8, *flags) == 2
     assert capsys.readouterr().err.startswith("DOMAIN: ")
     assert not out.exists() and not out.parent.exists()
     assert (tmp_path / "notes.txt").read_text() == "kept"
@@ -239,13 +212,13 @@ def test_refused_run_keeps_a_run_beside_it_under_a_shared_parent(tmp_path, cpus,
     def sibling_first(count, unit):
         # runs/b has claimed its --out; runs/a now writes its whole tree
         monkeypatch.setattr(cli, "run_units", run_units)
-        assert run("gen-dataset", "--out", shared / "a", *MODES["dark"]) == 0
+        assert status("gen-dataset", "--out", shared / "a", *MODES["dark"]) == 0
         run_units(count, unit)
 
     monkeypatch.setattr(cli, "run_units", sibling_first)
-    assert run("gen-dataset", "--out", shared / "b", "--seed", 1, "--mode", "dark",
-               "--count", 6, "--height", 8, "--width", 8,
-               "--params", '{"K": 1.0, "sigma": 1e300, "mu_c": 0.0, "sigma_r": 1.0}') == 2
+    mode, flags = REFUSED_MIDWAY["dark_float32_overflow"]
+    assert status("gen-dataset", "--out", shared / "b", "--seed", 1, "--mode", mode,
+                  "--count", 6, "--height", 8, "--width", 8, *flags) == 2
     assert capsys.readouterr().err.startswith("DOMAIN: ")
     assert not (shared / "b").exists()
     assert _tree_digest(shared / "a") == PINNED["dark"]

@@ -18,34 +18,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cli_harness import (
+    CAMERA,
+    ESTIMATES,
+    ESTIMATES_HEADER,
+    PARAMS_JSON,
+    TINY,
+    TINY_NEST,
+    calibrate_inputs,
+    estimate_inputs,
+    eval_kl_inputs,
+    nest_bytes,
+    status,
+    synthesize_inputs,
+    tree,
+    write_json,
+)
 
-from rawnoise.cli import main
 from rawnoise.errors import BadCheckpointError, BadTensorFileError
-from rawnoise.estimator import ConvStage, EstimatorCheckpoint, EstimatorConfig, EstimatorNetwork
+from rawnoise.estimator import ConvStage, EstimatorCheckpoint
 from rawnoise.io import tensor_from_bytes, tensor_to_bytes
 
 CODE = re.compile(r"^[A-Z_]+: ")
 
-TINY = EstimatorConfig(
-    patch_height=8, patch_width=8, extractor=(ConvStage(3, 2, 2),), feature_dim=4,
-    projector=(3,), head=(3, 4),
-)
 MASKS = (0x01, 0x10, 0x80, 0xFF)
 # Their product is 2**64, which wraps to 0 in int64 arithmetic.
 WRAPPED_DIMS = (65536, 65536, 65536, 65536)
-CSV_HEADER = b"image_id,K,sigma,mu_c,sigma_r\n"
-ESTIMATES = CSV_HEADER + b"a,0.5,1.0,0.0,0.5\nb,1.0,1.3,0.0,0.7\n"
-
-
-def _status(argv) -> int:
-    try:
-        return main([str(a) for a in argv])
-    except SystemExit as exc:  # argparse refusals exit from inside main
-        return exc.code
-
-
-def _nest(config: EstimatorConfig = TINY) -> bytes:
-    return EstimatorCheckpoint(config, EstimatorNetwork.initialize(config).params).to_bytes()
 
 
 def _table(raw: bytes) -> tuple[bytes, list[bytes]]:
@@ -69,10 +67,9 @@ def _wrapped_entry(name: str) -> bytes:
     return struct.pack(f"<I{len(encoded)}sI4I", len(encoded), encoded, 4, *WRAPPED_DIMS)
 
 
-NEST = _nest()
 NRAW = tensor_to_bytes(np.arange(24.0).reshape(2, 3, 4) / 4)
 WRAPPED_NRAW = b"NRAW" + struct.pack("<III4I", 1, 1, 4, *WRAPPED_DIMS)
-WRAPPED_NEST = NEST + _wrapped_entry("wrap")
+WRAPPED_NEST = TINY_NEST + _wrapped_entry("wrap")
 
 
 def _mutations(raw: bytes):
@@ -89,33 +86,13 @@ def _mutations(raw: bytes):
 # probes
 
 
-def _estimate(base, nest: bytes = NEST) -> list:
-    (base / "model.nest").write_bytes(nest)
-    (base / "patch.nraw").write_bytes(tensor_to_bytes(np.full((4, 8, 8), 50.0)))
-    return ["estimate", "--input", base / "patch.nraw", "--checkpoint", base / "model.nest",
-            "--out", base / "out.json"]
-
-
-def _calibrate(base, csv: bytes) -> list:
-    (base / "est.csv").write_bytes(csv)
-    return ["calibrate", "--estimates", base / "est.csv", "--out", base / "out.json"]
-
-
 def _append(base, csv: bytes) -> list:
     (base / "est.csv").write_bytes(csv)
-    return [*_estimate(base), "--append", base / "est.csv"]
+    return [*estimate_inputs(base), "--append", base / "est.csv"]
 
 
 def _eval_kl(base, real: bytes, *flags) -> list:
-    (base / "real.nraw").write_bytes(real)
-    (base / "synth.nraw").write_bytes(NRAW)
-    return ["eval-kl", "--real", base / "real.nraw", "--synth", base / "synth.nraw", *flags]
-
-
-def _synthesize(base, params: str) -> list:
-    (base / "clean.nraw").write_bytes(tensor_to_bytes(np.full((4, 8, 8), 100.0)))
-    return ["synthesize", "--clean", base / "clean.nraw", "--params", params, "--seed", 1,
-            "--out", base / "out.nraw"]
+    return eval_kl_inputs(base, *flags, real=real, synth=NRAW)
 
 
 def _nraw_float32(value: float) -> bytes:
@@ -175,34 +152,47 @@ def _gen_dataset(base, *flags) -> list:
 def _gen_dataset_of_frames_beyond_numpy(base) -> list:
     """Its --out exists, so a refusal before --out is claimed is DOMAIN, not IO_ERROR."""
     (base / "set").mkdir()
-    return _gen_dataset(base, "--mode", "dark", "--params", PARAMS, "--height", 10**20)
+    return _gen_dataset(base, "--mode", "dark", "--params", PARAMS_JSON, "--height", 10**20)
 
 
 MIXED = [(16, 16), (16, 32), (16, 16)]
 SQUARE = [(16, 16)] * 3
-PARAMS = '{"K": 1, "sigma": 1, "mu_c": 0, "sigma_r": 1}'
+# Estimates whose fit is not finite: iso**2 underflows, so the ISO-to-gain
+# slope is infinite, and the mean mu_c overflows.
+ISO_UNDERFLOWS = (b"image_id,K,sigma,mu_c,sigma_r,iso\n"
+                  b"a,0.5,1.0,0.0,0.5,1e-300\nb,1.0,1.3,0.0,0.7,1e-300\n")
+MU_C_OVERFLOWS = ESTIMATES_HEADER + b"a,0.5,1.0,1e308,0.5\nb,1.0,1.3,1e308,0.7\n"
 
 PROBES = {
     "nraw_wrapped_dims": (lambda base: _eval_kl(base, WRAPPED_NRAW), "BAD_TENSOR_FILE"),
-    "nest_wrapped_dims": (lambda base: _estimate(base, WRAPPED_NEST), "BAD_CHECKPOINT"),
-    "calibrate_csv_not_utf8": (lambda base: _calibrate(base, ESTIMATES + b"c,\xff\n"), "DOMAIN"),
+    "nest_wrapped_dims": (lambda base: estimate_inputs(base, WRAPPED_NEST), "BAD_CHECKPOINT"),
+    "calibrate_csv_not_utf8": (
+        lambda base: calibrate_inputs(base, ESTIMATES + b"c,\xff\n"), "DOMAIN"),
     "calibrate_csv_oversized_field": (
-        lambda base: _calibrate(base, ESTIMATES + b"c," + b"1" * 200_000 + b"\n"), "DOMAIN"),
+        lambda base: calibrate_inputs(base, ESTIMATES + b"c," + b"1" * 200_000 + b"\n"), "DOMAIN"),
+    "calibrate_iso_slope_not_finite": (
+        lambda base: calibrate_inputs(base, ISO_UNDERFLOWS), "DOMAIN"),
+    "calibrate_mu_c_mean_overflows": (
+        lambda base: calibrate_inputs(base, MU_C_OVERFLOWS), "DOMAIN"),
     "append_csv_not_utf8": (lambda base: _append(base, ESTIMATES + b"c,\xff\n"), "DOMAIN"),
     "append_csv_wrong_header": (
-        lambda base: _append(base, b"image_id,K\n" + ESTIMATES[len(CSV_HEADER):]), "DOMAIN"),
+        lambda base: _append(base, b"image_id,K\n" + ESTIMATES[len(ESTIMATES_HEADER):]), "DOMAIN"),
     "append_csv_malformed_row": (
         lambda base: _append(base, ESTIMATES + b"x,abc,1,1,1\n"), "DOMAIN"),
     "synthesize_shot_rate_out_of_range": (
-        lambda base: _synthesize(base, '{"K": 1e-20, "sigma": 1, "mu_c": 0, "sigma_r": 1}'),
+        lambda base: synthesize_inputs(base, '{"K": 1e-20, "sigma": 1, "mu_c": 0, "sigma_r": 1}'),
         "DOMAIN"),
     "synthesize_float32_overflow": (
-        lambda base: _synthesize(base, '{"K": 1, "sigma": 1e300, "mu_c": 0, "sigma_r": 1}'),
+        lambda base: synthesize_inputs(base, '{"K": 1, "sigma": 1e300, "mu_c": 0, "sigma_r": 1}'),
         "DOMAIN"),
     "gen_dataset_shot_rate_out_of_range": (
         lambda base: ["gen-dataset", "--out", base / "set", "--seed", 1, "--mode", "flat",
                       "--count", 1, "--levels", "1e30", "--height", 8, "--width", 8,
                       "--params", '{"K": 1e-10, "sigma": 1, "mu_c": 0, "sigma_r": 1}'],
+        "DOMAIN"),
+    "gen_dataset_train_camera_line_overflows": (
+        lambda base: _gen_dataset(base, "--mode", "train", "--camera",
+                                  write_json(base / "camera.json", {**CAMERA, "b": 1000.0})),
         "DOMAIN"),
     "eval_kl_real_nan": (
         lambda base: _eval_kl(base, _nraw_float32(math.nan), "--range", -1, 1), "DOMAIN"),
@@ -227,10 +217,10 @@ PROBES = {
     "eval_kl_directory": (
         lambda base: ["eval-kl", "--real", _directory(base), "--synth", base / "d"], "IO_ERROR"),
     "estimate_checkpoint_directory": (
-        lambda base: [*_estimate(base)[:3], "--checkpoint", _directory(base),
+        lambda base: [*estimate_inputs(base)[:3], "--checkpoint", _directory(base),
                       "--out", base / "out.json"], "IO_ERROR"),
     "estimate_append_directory": (
-        lambda base: [*_estimate(base), "--append", _directory(base)], "CONFIG"),
+        lambda base: [*estimate_inputs(base), "--append", _directory(base)], "CONFIG"),
     "oracle_missing_dark": (_oracle_with("--dark", lambda base: base / "no"), "FILE_NOT_FOUND"),
     "oracle_missing_flat_series": (
         _oracle_with("--flat-series", lambda base: base / "no"), "FILE_NOT_FOUND"),
@@ -238,42 +228,37 @@ PROBES = {
     "oracle_level_without_clean": (_oracle_without_a_level_reference, "INSUFFICIENT_DATA"),
     "oracle_no_level_directories": (_oracle_with("--flat-series", _directory), "INSUFFICIENT_DATA"),
     "oracle_without_dark": (_oracle_with("--dark", None), "CONFIG"),
-    "estimate_without_checkpoint": (lambda base: _set(_estimate(base), "--checkpoint", None),
-                                    "CONFIG"),
+    "estimate_without_checkpoint": (
+        lambda base: _set(estimate_inputs(base), "--checkpoint", None), "CONFIG"),
     "gen_dataset_train_without_camera": (_gen_dataset, "CONFIG"),
     "gen_dataset_flat_without_params": (
         lambda base: _gen_dataset(base, "--mode", "flat", "--levels", 2), "CONFIG"),
     "gen_dataset_flat_without_levels": (
-        lambda base: _gen_dataset(base, "--mode", "flat", "--params", PARAMS), "CONFIG"),
+        lambda base: _gen_dataset(base, "--mode", "flat", "--params", PARAMS_JSON), "CONFIG"),
     "eval_kl_clean_shape_unlike_real": (
         lambda base: _eval_kl(base, _nraw_float32(0.0), "--clean", base / "synth.nraw"), "DOMAIN"),
-    "seed_not_an_integer": (lambda base: _set(_synthesize(base, PARAMS), "--seed", "abc"), "USAGE"),
+    "seed_not_an_integer": (lambda base: _set(synthesize_inputs(base), "--seed", "abc"), "USAGE"),
     "white_level_not_a_number": (lambda base: _gen_dataset(base, "--white-level", "abc"), "USAGE"),
 }
-
-
-def _tree(root) -> dict:
-    """Every path under ``root`` with its bytes (None for a directory)."""
-    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 @pytest.mark.parametrize("case", sorted(PROBES))
 def test_malformed_input_is_coded_exit_2(tmp_path, capsys, case):
     build, code = PROBES[case]
     argv = build(tmp_path)
-    inputs = _tree(tmp_path)
-    assert _status(argv) == 2
+    inputs = tree(tmp_path)
+    assert status(*argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith(f"{code}: ")
     assert out == ""
-    assert _tree(tmp_path) == inputs
+    assert tree(tmp_path) == inputs
 
 
 # ----------------------------------------------------------------------
 # fuzz
 
 LOADS = {
-    "nest": (NEST, EstimatorCheckpoint.from_bytes, BadCheckpointError),
+    "nest": (TINY_NEST, EstimatorCheckpoint.from_bytes, BadCheckpointError),
     "nraw": (NRAW, tensor_from_bytes, BadTensorFileError),
 }
 
@@ -293,16 +278,17 @@ def test_every_mutation_loads_or_raises_its_format_error(kind):
 
 
 def test_spliced_records_are_refused():
-    header, entries = _table(NEST)
-    assert header + b"".join(entries) == NEST
-    _, deeper = _table(_nest(replace(TINY, extractor=(ConvStage(3, 2, 3), ConvStage(3, 2, 2)))))
-    _, reseeded = _table(_nest(replace(TINY, seed=1)))
+    header, entries = _table(TINY_NEST)
+    assert header + b"".join(entries) == TINY_NEST
+    two_stages = replace(TINY, extractor=(ConvStage(3, 2, 3), ConvStage(3, 2, 2)))
+    _, deeper = _table(nest_bytes(two_stages))
+    _, reseeded = _table(nest_bytes(replace(TINY, seed=1)))
     for entry in [*deeper, *reseeded]:
         with pytest.raises(BadCheckpointError):
-            EstimatorCheckpoint.from_bytes(NEST + entry)
+            EstimatorCheckpoint.from_bytes(TINY_NEST + entry)
     for entry in entries:
         with pytest.raises(BadCheckpointError, match="duplicate"):
-            EstimatorCheckpoint.from_bytes(NEST.replace(entry, entry * 2, 1))
+            EstimatorCheckpoint.from_bytes(TINY_NEST.replace(entry, entry * 2, 1))
     with pytest.raises(BadTensorFileError, match="trailing"):
         tensor_from_bytes(NRAW + NRAW)
 
@@ -317,12 +303,12 @@ def test_sampled_mutations_never_internal(tmp_path, capsys, kind):
         base = tmp_path / f"case{i}"
         base.mkdir()
         if kind == "nest":
-            argv, outputs = _estimate(base, nest=payload), [base / "out.json"]
+            argv, outputs = estimate_inputs(base, payload), [base / "out.json"]
         else:
             argv, outputs = _eval_kl(base, payload), []
-        status = _status(argv)
+        code = status(*argv)
         out, err = capsys.readouterr()
-        assert status in (0, 2), (how, status, err)
-        if status == 2:
+        assert code in (0, 2), (how, code, err)
+        if code == 2:
             assert CODE.match(err) and not err.startswith("INTERNAL"), (how, err)
             assert out == "" and not any(path.exists() for path in outputs), how

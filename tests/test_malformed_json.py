@@ -12,30 +12,28 @@ import struct
 
 import numpy as np
 import pytest
+from cli_harness import (
+    CAMERA,
+    NET,
+    PARAMS,
+    PARAMS_JSON,
+    STAGE,
+    TRAIN,
+    estimate_inputs,
+    nest_bytes,
+    status,
+    synthesize_inputs,
+    write_json,
+)
 
-from rawnoise.cli import main
-from rawnoise.estimator import EstimatorCheckpoint, EstimatorConfig, EstimatorNetwork
+from rawnoise.estimator import EstimatorConfig
 from rawnoise.io import write_tensor
 
 CODE = re.compile(r"^[A-Z_]+: ")
 
-CAMERA = {
-    "a": 0.7, "b": 0.1, "a_r": 0.5, "b_r": -0.2, "sigma_hat": 0.1, "sigma_r_hat": 0.1,
-    "K_min": 0.25, "K_max": 8.0, "mu_c_model": 0.0,
-}
-PARAMS = {"K": 1.5, "sigma": 2.0, "mu_c": 0.5, "sigma_r": 0.8}
-STAGE = {"kernel": 3, "stride": 2, "width": 4, "nonlinearity": "relu"}
-NET = {"extractor": [STAGE], "feature_dim": 8, "projector": [6, 4], "head": [6, 4],
-       "patch_height": 8, "patch_width": 8}
-TRAIN = {**NET, "batch_size": 2, "epochs_per_stage": 0, "train_triplets": 2, "seed": 3,
-         "scene_pool_size": 2}
-
-
-def _status(argv) -> int:
-    try:
-        return main([str(a) for a in argv])
-    except SystemExit as exc:  # argparse refusals exit from inside main
-        return exc.code
+# The toy training run cut to no epochs, so that a fuzzed config that parses trains at once.
+TRAIN_NO_EPOCHS = {**TRAIN, "batch_size": 2, "epochs_per_stage": 0, "train_triplets": 2,
+                   "seed": 3, "scene_pool_size": 2}
 
 
 def _nest_header(config: dict) -> bytes:
@@ -44,8 +42,7 @@ def _nest_header(config: dict) -> bytes:
 
 def _nest_with_header(header: bytes) -> bytes:
     """A valid tiny checkpoint whose JSON header is replaced by ``header``."""
-    config = EstimatorConfig.from_dict(NET)
-    raw = EstimatorCheckpoint(config, EstimatorNetwork.initialize(config).params).to_bytes()
+    raw = nest_bytes(EstimatorConfig.from_dict(NET))
     (blob_len,) = struct.unpack("<I", raw[8:12])
     return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + blob_len :]
 
@@ -57,34 +54,27 @@ def _command(kind: str, base, payload: bytes):
     directory while it runs, so a mutated path still lands inside ``base``.
     """
     base.mkdir()
-    out = base / "out"
     if kind == "camera":
         (base / "camera.json").write_bytes(payload)
         argv = ["sample-params", "--camera", base / "camera.json", "--count", 2, "--seed", 1,
-                "--out", out]
-        return argv, [out, base / "out.provenance.json"]
+                "--out", base / "out"]
+        return argv, [base / "out", base / "out.provenance.json"]
     if kind == "params":
         (base / "params.json").write_bytes(payload)
-        write_tensor(base / "clean.nraw", np.full((4, 8, 8), 50.0))
-        argv = ["synthesize", "--clean", base / "clean.nraw", "--params", base / "params.json",
-                "--seed", 1, "--out", base / "out.nraw"]
-        return argv, [base / "out.nraw", base / "out.json"]
+        return synthesize_inputs(base, base / "params.json"), [base / "out.nraw", base / "out.json"]
     if kind == "train":
-        (base / "camera.json").write_text(json.dumps(CAMERA))
+        write_json(base / "camera.json", CAMERA)
         (base / "train.json").write_bytes(payload)
         return ["train", "--config", base / "train.json"], [base / "model.nest",
                                                              base / "model.nest.losses.csv"]
     assert kind == "nest"
-    (base / "model.nest").write_bytes(_nest_with_header(payload))
-    write_tensor(base / "patch.nraw", np.full((4, 8, 8), 50.0))
-    argv = ["estimate", "--input", base / "patch.nraw", "--checkpoint", base / "model.nest",
-            "--out", out]
-    return argv, [out]
+    return estimate_inputs(base, _nest_with_header(payload)), [base / "out.json"]
 
 
 def _train_json(**changes) -> bytes:
     """The valid training config with ``changes`` applied."""
-    record = {**TRAIN, "cameras": ["camera.json"], "out_checkpoint": "model.nest", **changes}
+    record = {**TRAIN_NO_EPOCHS, "cameras": ["camera.json"], "out_checkpoint": "model.nest",
+              **changes}
     return json.dumps(record).encode()
 
 
@@ -97,6 +87,7 @@ PROBES = {
     "camera_a_str": ("camera", _dump({**CAMERA, "a": "x"}), "DOMAIN"),
     "camera_a_null": ("camera", _dump({**CAMERA, "a": None}), "DOMAIN"),
     "camera_K_max_infinity": ("camera", _dump({**CAMERA, "K_max": float("inf")}), "DOMAIN"),
+    "camera_noise_line_overflows": ("camera", _dump({**CAMERA, "b": 1000.0}), "DOMAIN"),
     "params_K_null": ("params", _dump({**PARAMS, "K": None}), "DOMAIN"),
     "params_K_str": ("params", _dump({**PARAMS, "K": "abc"}), "DOMAIN"),
     "params_K_str_number": ("params", _dump({**PARAMS, "K": "1.5"}), "DOMAIN"),
@@ -139,7 +130,7 @@ def test_malformed_record_is_coded_exit_2(tmp_path, capsys, monkeypatch, case):
     kind, payload, code = PROBES[case]
     argv, outputs = _command(kind, tmp_path / "case", payload)
     monkeypatch.chdir(tmp_path / "case")
-    assert _status(argv) == 2
+    assert status(*argv) == 2
     assert capsys.readouterr().err.startswith(f"{code}: ")
     assert not any(path.exists() for path in outputs)
 
@@ -147,22 +138,21 @@ def test_malformed_record_is_coded_exit_2(tmp_path, capsys, monkeypatch, case):
 @pytest.mark.parametrize("case", sorted(FLAG_PROBES))
 def test_bad_flag_is_coded_exit_2_before_writing(tmp_path, capsys, monkeypatch, case):
     flags, code = FLAG_PROBES[case]
-    (tmp_path / "camera.json").write_text(json.dumps(CAMERA))
+    write_json(tmp_path / "camera.json", CAMERA)
     write_tensor(tmp_path / "clean.nraw", np.full((4, 8, 8), 50.0))
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    params = json.dumps(PARAMS)
     # A command line that parses; the probe's flags follow it, so they win.
     common = {
-        "synthesize": ["--clean", "clean.nraw", "--out", out, "--params", params, "--seed", 1],
+        "synthesize": ["--clean", "clean.nraw", "--out", out, "--params", PARAMS_JSON, "--seed", 1],
         "gen-dataset": ["--out", out, "--count", 1, "--height", 8, "--width", 8,
-                        "--camera", "camera.json", "--params", params, "--seed", 1],
+                        "--camera", "camera.json", "--params", PARAMS_JSON, "--seed", 1],
         "calibrate": ["--estimates", "estimates.csv", "--out", out],
         "estimate": ["--input", "clean.nraw", "--checkpoint", "estimator.nest", "--out", out],
         "sample-params": ["--camera", "camera.json", "--count", 1, "--seed", 1, "--out", out],
     }[flags[0]]
     argv = [flags[0], *common, *flags[1:]]
-    assert _status(argv) == 2
+    assert status(*argv) == 2
     assert capsys.readouterr().err.startswith(f"{code}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["camera.json", "clean.nraw"]
 
@@ -228,9 +218,9 @@ def test_fuzzed_json_never_internal(tmp_path, capsys, monkeypatch, kind):
         how, payload = _mutate(VALID[kind], rng)
         argv, outputs = _command(kind, tmp_path / f"case{i}", payload)
         monkeypatch.chdir(tmp_path / f"case{i}")
-        status = _status(argv)
+        code = status(*argv)
         err = capsys.readouterr().err
-        assert status in (0, 2), (how, payload, status, err)
-        if status == 2:
+        assert code in (0, 2), (how, payload, code, err)
+        if code == 2:
             assert CODE.match(err) and not err.startswith("INTERNAL"), (how, payload, err)
             assert not any(path.exists() for path in outputs), (how, payload)

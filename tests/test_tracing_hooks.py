@@ -8,15 +8,14 @@ per-layer metrics.  This test reads ``bench/`` and changes nothing there.
 """
 
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from cli_harness import CAMERA, status, write_json
 
-from rawnoise import oracle, parallel, synthetic
-from rawnoise.cli import main
+from rawnoise import oracle, synthetic
 from rawnoise.estimator import ConvStage, EstimatorConfig, train
 from rawnoise.streams import derive_stream
 
@@ -47,10 +46,10 @@ TRAINING_DRAW = {
 }
 
 
-def test_estimator_hooks_resolve_and_record(monkeypatch):
+def test_estimator_hooks_resolve_and_record(cpus):
     # Tracer keeps one span stack for all threads, so spans drawn on two
     # threads at once would be lost; draw the training set on this one.
-    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+    cpus(1)
     tracing = _load_tracing()
     hooks = [
         hook for hook in tracing.HOOKS
@@ -113,28 +112,26 @@ def test_oracle_hooks_resolve_and_record_one_call_each():
     assert params.K > 0
 
 
-def test_io_hooks_record_the_gen_dataset_writes(tmp_path, monkeypatch):
+def test_io_hooks_record_the_gen_dataset_writes(tmp_path, cpus):
     """Each patch of a train-mode run is two tensors and one manifest,
     written through the names the io hooks wrap."""
     # Units write their files concurrently, and the tracer's one span stack
     # would drop a write made while another thread's is open.
-    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+    cpus(1)
     tracing = _load_tracing()
     hooks = [hook for hook in tracing.HOOKS if str(hook[0]).startswith("io.")]
     assert hooks
 
-    camera = tmp_path / "camera.json"
-    camera.write_text(json.dumps(synthetic.default_camera_bank()[1].as_dict()))
+    camera = write_json(tmp_path / "camera.json", CAMERA)
     tracer = tracing.Tracer()
     tracer.install(hooks)
     try:
-        status = main(["gen-dataset", "--out", str(tmp_path / "set"), "--seed", "1",
-                       "--mode", "train", "--count", "3", "--height", "8", "--width", "8",
-                       "--camera", str(camera)])
+        code = status("gen-dataset", "--out", tmp_path / "set", "--seed", 1, "--mode", "train",
+                      "--count", 3, "--height", 8, "--width", 8, "--camera", camera)
     finally:
         tracer.uninstall()
 
-    assert status == 0
+    assert code == 0
     assert tracer.absent == []
     assert tracer.broken_counters == set()
     assert tracer.stats["io.write_tensor"].calls == 6

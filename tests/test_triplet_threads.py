@@ -23,12 +23,6 @@ POINT_MASS = CameraModel(
 
 
 @pytest.fixture()
-def cpus(monkeypatch):
-    """Set the CPU count the runner sees."""
-    return lambda n: monkeypatch.setattr(parallel, "cpu_count", lambda: n)
-
-
-@pytest.fixture()
 def no_thread(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")

@@ -192,8 +192,9 @@ def sample_params_at_iso(
     """
     if model.alpha is None:
         raise MissingCalibrationError("camera model has no fitted ISO-to-gain slope")
-    if not (iso > 0 and math.isfinite(iso)):
-        raise DomainError(f"ISO must be positive, got {iso}")
     gain = model.alpha * iso
+    if not (gain > 0 and math.isfinite(gain)):
+        raise DomainError(f"--iso {iso} times alpha {model.alpha} is a gain of {gain}, "
+                          "not a positive finite number")
     sigma, sigma_r = _sample_sigmas_at(model, math.log(gain), rng)
     return NoiseParams(K=gain, sigma=sigma, mu_c=model.mu_c_model, sigma_r=sigma_r)

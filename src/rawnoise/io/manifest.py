@@ -38,7 +38,7 @@ class Manifest(Record, error=BadManifestError):
         if not isinstance(record, dict):
             raise BadManifestError("manifest must be a JSON object")
         version = record.get("version")
-        if version != MANIFEST_VERSION:
+        if type(version) is not int or version != MANIFEST_VERSION:
             raise BadManifestError(
                 f"unsupported manifest version {version!r} (expected {MANIFEST_VERSION})"
             )

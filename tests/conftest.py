@@ -145,6 +145,15 @@ def cpus(monkeypatch):
     return lambda n: monkeypatch.setattr(parallel, "cpu_count", lambda: n)
 
 
+@pytest.fixture()
+def no_thread(monkeypatch):
+    """Fail the test if ``parallel`` starts a thread."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(parallel.threading, "Thread", refuse)
+
+
 # The running toy-training child and its output directory, once started.
 TOY_CHILD = pytest.StashKey[tuple[subprocess.Popen, Path]]()
 TOY_TIMEOUT_S = 600

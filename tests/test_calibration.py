@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from rawnoise.calibration import (
     CameraModel,
@@ -131,33 +130,6 @@ class TestSampleParams:
             assert abs(math.log(p.sigma_r) - (0.4 * math.log(p.K) - 0.3)) <= 1e-12
             assert p.mu_c == 0.25
 
-    def test_joint_distribution(self):
-        """10^5 tuples: log K uniform (KS) and conditional means on the lines."""
-        model = CameraModel(
-            a=0.7, b=0.1, a_r=0.5, b_r=-0.2, sigma_hat=0.15, sigma_r_hat=0.1,
-            K_min=0.25, K_max=8.0, mu_c_model=0.0,
-        )
-        rng = np.random.default_rng(54)
-        samples = [sample_params(model, rng) for _ in range(10**5)]
-        log_k = np.log([p.K for p in samples])
-        log_sigma = np.log([p.sigma for p in samples])
-        log_sigma_r = np.log([p.sigma_r for p in samples])
-
-        lo, hi = math.log(0.25), math.log(8.0)
-        result = stats.kstest(log_k, stats.uniform(loc=lo, scale=hi - lo).cdf)
-        assert result.pvalue > 0.001
-
-        edges = np.linspace(lo, hi, 11)
-        which = np.digitize(log_k, edges[1:-1])
-        for b in range(10):
-            mask = which == b
-            n = int(mask.sum())
-            resid = log_sigma[mask] - (0.7 * log_k[mask] + 0.1)
-            assert abs(resid.mean()) <= 3.0 * 0.15 / math.sqrt(n)
-            resid_r = log_sigma_r[mask] - (0.5 * log_k[mask] - 0.2)
-            assert abs(resid_r.mean()) <= 3.0 * 0.1 / math.sqrt(n)
-
-
 class TestIsoGain:
     def test_exact_proportionality(self):
         assert fit_iso_gain([(100.0, 0.5), (200.0, 1.0)]) == pytest.approx(0.005, abs=1e-15)
@@ -269,10 +241,3 @@ class TestModelInvariants:
             se_icpt = spread * math.sqrt(1.0 / len(entries) + log_k.mean() ** 2 / s_xx)
             assert abs(slope - true_slope) <= 3.0 * se_slope
             assert abs(icpt - true_icpt) <= 3.0 * se_icpt
-
-    def test_camera_model_json_round_trip(self):
-        model = CameraModel(
-            a=0.7, b=0.15, a_r=0.5, b_r=-0.25, sigma_hat=0.12, sigma_r_hat=0.08,
-            K_min=0.25, K_max=8.0, mu_c_model=0.3, alpha=0.004,
-        )
-        assert CameraModel.from_dict(model.as_dict()) == model

@@ -16,7 +16,6 @@ from cli_harness import (
     ESTIMATES_HEADER,
     PARAMS,
     PARAMS_JSON,
-    REFUSED_MIDWAY,
     TINY_NEST,
     calibrate_inputs,
     estimate_inputs,
@@ -194,11 +193,13 @@ class TestSampleParams:
         assert not out.exists()
         assert not (tmp_path / "params.csv.provenance.json").exists()
 
-    def test_negative_exponent_iso_reaches_the_domain_check(self, tmp_path, capsys):
+    @pytest.mark.parametrize("iso", ["-1e3", "5e-324"])
+    def test_negative_exponent_iso_reaches_the_domain_check(self, tmp_path, capsys, iso):
+        """A negative ISO, and one whose gain alpha * ISO underflows to 0, exit 2."""
         camera = self._camera(tmp_path, alpha=0.01)
         out = tmp_path / "params.csv"
         assert status("sample-params", "--camera", camera, "--count", 2, "--seed", 1,
-                      "--out", out, "--iso", "-1e3") == 2
+                      "--out", out, "--iso", iso) == 2
         assert capsys.readouterr().err.startswith("DOMAIN: ")
         assert not out.exists()
 
@@ -261,27 +262,6 @@ class TestGenDatasetAndOracle:
                       *flags) == 2
         assert capsys.readouterr().err.startswith(f"{code}: ")
         assert not out.exists()
-
-    def test_shot_rate_beyond_sampler_range_is_domain_error(self, tmp_path, capsys):
-        """A level of 1e30 at K = 1e-10 is a Poisson rate of 1e40; numpy's sampler refuses it."""
-        assert status(
-            "gen-dataset", "--out", tmp_path / "set", "--seed", 1, "--mode", "flat",
-            "--count", 2, "--levels", "1e30", "--height", 8, "--width", 8,
-            "--params", '{"K": 1e-10, "sigma": 1.0, "mu_c": 0.0, "sigma_r": 1.0}',
-        ) == 2
-        assert capsys.readouterr().err.startswith("DOMAIN: ")
-
-    @pytest.mark.parametrize("mode, flags", list(REFUSED_MIDWAY.values()), ids=list(REFUSED_MIDWAY))
-    def test_refused_run_removes_what_it_wrote(self, tmp_path, capsys, mode, flags):
-        """A run refused after writing some frames removes the directories it
-        created, --out and its missing parent, and leaves their sibling alone."""
-        out = tmp_path / "new" / "set"
-        (tmp_path / "notes.txt").write_text("kept")
-        assert status("gen-dataset", "--out", out, "--seed", 1, "--mode", mode, "--count", 2,
-                      "--height", 8, "--width", 8, *flags) == 2
-        assert capsys.readouterr().err.startswith("DOMAIN: ")
-        assert not out.exists() and not out.parent.exists()
-        assert (tmp_path / "notes.txt").read_text() == "kept"
 
     def test_cameras_sharing_a_file_stem_refused(self, tmp_path, capsys):
         """The file stem is the camera id, so two cameras named cam.json would be
@@ -540,15 +520,6 @@ class TestEvalKL:
         write_tensor(path, np.random.default_rng(7).normal(0, 1e-3, size=(4, 8, 8)))
         assert status("eval-kl", "--real", path, "--synth", path, "--range", lo, hi) == 0
         assert json.loads(capsys.readouterr().out)["range"] == [float(lo), float(hi)]
-
-    @pytest.mark.parametrize("flag", ["--real", "--synth", "--clean"])
-    def test_non_finite_input_is_named(self, tmp_path, capsys, flag):
-        """A NaN in any input exits 2 with DOMAIN naming that file, not the histogram range."""
-        argv = _eval_kl_of_zeros(tmp_path)
-        path = tmp_path / f"{flag[2:]}.nraw"
-        _fill(path, np.nan)
-        assert status(*argv) == 2
-        assert capsys.readouterr().err.strip() == f"DOMAIN: {path} holds a value that is not finite"
 
     def test_range_needs_two_values(self, tmp_path, capsys):
         path = tmp_path / "samples.nraw"

@@ -107,9 +107,11 @@ class TestManifest:
         )
         assert manifest.extensions == {"vendor_tag": 9}
 
-    def test_wrong_version_rejected(self):
+    @pytest.mark.parametrize("version", [2, True, 1.0])
+    def test_wrong_version_rejected(self, version):
+        """Only the JSON integer 1 is version 1; true and 1.0 compare equal to it in Python."""
         with pytest.raises(BadManifestError):
-            Manifest.from_dict({"version": 2, "camera_id": "x"})
+            Manifest.from_dict({"version": version, "camera_id": "x"})
 
     def test_missing_camera_id_rejected(self):
         with pytest.raises(BadManifestError):

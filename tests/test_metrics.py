@@ -4,13 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gaussian_histogram
 from scipy import stats
 
 from rawnoise.errors import DomainError, InsufficientDataError, ShapeError
-from rawnoise.metrics import build_histogram, default_range, kl_divergence, score_record
-from rawnoise.noise_core import NoiseParams, synthesize_noise
-from rawnoise.streams import derive_stream
+from rawnoise.metrics import build_histogram, kl_divergence, score_record
 
 
 class TestBuildHistogram:
@@ -113,12 +110,6 @@ class TestUniformBinRule:
 
 
 class TestKLDivergence:
-    def test_identical_distributions(self):
-        rng = np.random.default_rng(71)
-        values = rng.normal(size=10**4)
-        hist = build_histogram(values, bins=64, value_range=(-5.0, 5.0))
-        assert kl_divergence(hist, hist) <= 1e-9
-
     def test_worked_two_bin_value(self):
         """(0.5,0.5) vs (0.25,0.75): 0.5 ln 2 + 0.5 ln(2/3) ~ 0.14384."""
         p = build_histogram(np.array([0.2, 0.8]), bins=2, value_range=(0.0, 1.0))
@@ -148,34 +139,3 @@ class TestKLDivergence:
         record = score_record(hist, hist)
         assert set(record) == {"bins", "range", "epsilon", "kl", "samples_p", "samples_q"}
         assert record["bins"] == 8 and record["samples_p"] == 100
-
-
-class TestSynthesisDiscrimination:
-    def test_matched_model_beats_variance_matched_gaussian(self):
-        """Fresh samples from the generating model score KL < 0.01 while a
-        variance-matched pure Gaussian scores strictly worse."""
-        params = NoiseParams(K=2.0, sigma=0.8, mu_c=0.5, sigma_r=1.6)
-        level = 10.0
-        clean = np.full((4, 64, 64), level)
-
-        def draw(seed, patches=64):
-            rng = derive_stream(seed, 0)
-            return np.concatenate(
-                [(synthesize_noise(clean, params, rng)[0] - clean).ravel() for _ in range(patches)]
-            )
-
-        real = draw(1)
-        matched = draw(2)
-        value_range = default_range(real)
-        p = build_histogram(real, bins=256, value_range=value_range)
-        q_matched = build_histogram(matched, bins=256, value_range=value_range)
-
-        total_var = params.K * level + params.sigma**2 + params.sigma_r**2
-        q_gauss = gaussian_histogram(
-            params.mu_c, math.sqrt(total_var), p.edges, count=real.size
-        )
-
-        kl_matched = kl_divergence(p, q_matched)
-        kl_gaussian = kl_divergence(p, q_gauss)
-        assert kl_matched < 0.01
-        assert kl_matched < kl_gaussian

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from rawnoise.errors import DomainError, ShapeError
 from rawnoise.noise_core import (
@@ -41,11 +40,6 @@ class TestNoiseParams:
         p = NoiseParams(K=0.5, sigma=0.0, mu_c=-2.5, sigma_r=0.0)
         assert p.sigma == 0.0 and p.mu_c == -2.5
 
-    def test_dict_round_trip(self):
-        p = NoiseParams(K=1.5, sigma=2.0, mu_c=-0.25, sigma_r=0.75)
-        assert NoiseParams.from_dict(p.as_dict()) == p
-
-
 class TestPatchValidation:
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ShapeError):
@@ -60,37 +54,16 @@ class TestPatchValidation:
 
 class TestSampleShot:
     def test_zero_rate_gives_zero_noise(self):
-        """Poisson at rate zero is identically zero wherever clean is zero."""
+        """Poisson at rate zero is identically zero wherever clean is zero,
+        and at K = 1 every noisy value is a whole count."""
         rng = np.random.default_rng(1)
         clean = np.zeros((4, 16, 16))
         clean[0, :4] = 50.0
         shot = sample_shot(clean, 2.0, rng)
         assert np.all(shot[clean == 0.0] == 0.0)
-
-    def test_poisson_moments(self):
-        """clean=100, K=2: mean(clean+shot)=100 +- 0.1, var = K*clean = 200 +- 2%."""
-        rng = np.random.default_rng(2)
-        clean = np.full(10**6, 100.0)
-        shot = sample_shot(clean, 2.0, rng)
-        noisy = clean + shot
-        assert abs(noisy.mean() - 100.0) < 0.1
-        assert abs(noisy.var() - 200.0) < 0.02 * 200.0
-
-    def test_poisson_gof_chi_square(self):
-        """Empirical pmf at lam=5 matches Poisson(5): chi-square p > 0.001."""
-        rng = np.random.default_rng(3)
-        clean = np.full(10**6, 5.0)
         counts_float = clean + sample_shot(clean, 1.0, rng)
         counts = np.rint(counts_float).astype(np.int64)
         assert np.allclose(counts, counts_float)  # K=1 keeps draws integral
-
-        # Pool the tail so expected counts stay healthy for the test.
-        k_max = 17
-        observed = np.bincount(np.minimum(counts, k_max), minlength=k_max + 1)
-        pmf = stats.poisson.pmf(np.arange(k_max + 1), 5.0)
-        pmf[k_max] = 1.0 - pmf[:k_max].sum()
-        result = stats.chisquare(observed, pmf * counts.size)
-        assert result.pvalue > 0.001
 
     def test_large_rate_regime(self):
         """Non-integer rates up to 1e7 keep the Poisson moments correct."""
@@ -119,17 +92,6 @@ class TestSampleRead:
         read = sample_read((4, 8, 8), mu_c=5.0, sigma=0.0, rng=rng)
         assert np.all(read == 5.0)
 
-    def test_moments(self):
-        rng = np.random.default_rng(6)
-        read = sample_read((10**6,), mu_c=0.0, sigma=2.0, rng=rng)
-        assert abs(read.mean()) < 0.01
-        assert abs(read.std() - 2.0) < 0.01 * 2.0
-
-    def test_negative_bias_mean(self):
-        rng = np.random.default_rng(7)
-        read = sample_read((10**6,), mu_c=-1.5, sigma=1.0, rng=rng)
-        assert abs(read.mean() + 1.5) < 0.01
-
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             sample_read((4, 2, 2), 0.0, -1.0, np.random.default_rng(8))
@@ -141,7 +103,8 @@ class TestSampleRow:
         assert np.all(sample_row((4, 8, 8), 0.0, rng) == 0.0)
 
     def test_row_structure(self):
-        """Constant along each row; R/Gr share even-bayer-row offsets, Gb/B odd."""
+        """Constant along each row; R/Gr share even-bayer-row offsets, Gb/B odd;
+        the 2H = 32 physical rows carry 32 distinct offsets."""
         rng = np.random.default_rng(10)
         row = sample_row((4, 16, 8), 3.0, rng)
         for c in range(4):
@@ -149,18 +112,7 @@ class TestSampleRow:
         assert np.array_equal(row[0], row[1])
         assert np.array_equal(row[2], row[3])
         assert not np.array_equal(row[0], row[2])
-
-    def test_offset_count_and_spread(self):
-        """4x64x64 patch carries 128 distinct offsets with std 3 +- 5%."""
-        rng = np.random.default_rng(11)
-        offsets = []
-        for _ in range(10**4):
-            row = sample_row((4, 64, 64), 3.0, rng)
-            per_patch = np.concatenate([row[0, :, 0], row[2, :, 0]])
-            offsets.append(per_patch)
-        assert np.unique(offsets[0]).size == 128
-        spread = np.concatenate(offsets).std()
-        assert abs(spread - 3.0) < 0.05 * 3.0
+        assert np.unique(np.concatenate([row[0, :, 0], row[2, :, 0]])).size == 32
 
     def test_negative_sigma_r_rejected(self):
         with pytest.raises(DomainError):
@@ -247,15 +199,6 @@ class TestModelInvariants:
         noisy, parts = synthesize_noise(clean, params, rng)
         assert np.array_equal(parts.total, parts.shot + parts.row + parts.read)
         assert np.array_equal(noisy, clean + parts.total)
-
-    def test_variance_additivity_full_model(self):
-        """Var -> K*c + sigma^2 + sigma_r^2 within 3% at 10^6 samples."""
-        rng = np.random.default_rng(19)
-        params = NoiseParams(K=1.5, sigma=2.0, mu_c=1.0, sigma_r=1.2)
-        clean = np.full((4, 500, 500), 60.0)
-        noisy, _ = synthesize_noise(clean, params, rng)
-        expected = 1.5 * 60.0 + 2.0**2 + 1.2**2
-        assert abs((noisy - clean).var() - expected) < 0.03 * expected
 
     def test_mean_identity(self):
         """E[noisy - clean] -> mu_c with tolerance 0.02 * max(1, sigma)."""

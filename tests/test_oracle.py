@@ -160,22 +160,6 @@ class TestComposedOracle:
         darks = make_dark_frames(params, 64, (4, 128, 128), rng)
         return estimate_params_oracle(series, darks)
 
-    def test_full_recovery(self):
-        params = NoiseParams(K=0.5, sigma=2.0, mu_c=1.0, sigma_r=0.5)
-        est = self._round_trip(params, 107)
-        assert abs(est.K - 0.5) <= 0.05 * 0.5
-        assert abs(est.sigma - 2.0) <= 0.10 * 2.0
-        assert abs(est.sigma_r - 0.5) <= 0.10 * 0.5
-        assert abs(est.mu_c - 1.0) <= 0.05
-
-    def test_full_recovery_strong_row(self):
-        params = NoiseParams(K=6.0, sigma=4.0, mu_c=0.0, sigma_r=2.0)
-        est = self._round_trip(params, 108)
-        assert abs(est.K - 6.0) <= 0.05 * 6.0
-        assert abs(est.sigma - 4.0) <= 0.10 * 4.0
-        assert abs(est.sigma_r - 2.0) <= 0.10 * 2.0
-        assert abs(est.mu_c) <= 0.05
-
     def test_noiseless_degenerate(self):
         series = [
             (10.0, [np.full((4, 32, 32), 15.0)] * 3),

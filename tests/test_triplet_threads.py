@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rawnoise import parallel, synthetic
+from rawnoise import synthetic
 from rawnoise.calibration import CameraModel
 from rawnoise.errors import ConfigurationError, DomainError, ShapeError
 from rawnoise.estimator import (
@@ -20,14 +20,6 @@ POINT_MASS = CameraModel(
     a=0.5, b=0.0, a_r=0.5, b_r=0.0, sigma_hat=0.0, sigma_r_hat=0.0,
     K_min=1.0, K_max=1.0, mu_c_model=0.0,
 )
-
-
-@pytest.fixture()
-def no_thread(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(parallel.threading, "Thread", refuse)
 
 
 def _scenes(count=6):

@@ -152,6 +152,8 @@ def _cmd_synthesize(args) -> int:
     noisy = add_noise(clean, params, rng)
     extensions = {}
     if args.clamp:
+        if not np.isfinite(noisy).all():  # a sum that overflowed would be clipped to a level
+            raise DomainError("noisy patch holds a value that is not finite; --clamp would hide it")
         noisy = np.clip(noisy, 0.0, args.white_level)
         extensions = {"clamp": True, "white_level": args.white_level}
     write_tensor(args.out, noisy)

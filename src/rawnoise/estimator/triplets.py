@@ -48,17 +48,22 @@ def draw_params(camera_bank, rng: np.random.Generator) -> NoiseParams:
 def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator, out) -> NoiseParams:
     """Draw one triplet into its (3, 4, H, W) stack slice ``out``; return the anchor tuple.
 
-    The negative tuple is redrawn on exact collision.
+    The negative tuple is redrawn on exact collision.  A patch that is not
+    finite once stored (a float32 ``out`` overflows past about 3.4e38) is
+    refused with DomainError, as an NRAW writer refuses it.
     """
     params = draw_params(camera_bank, rng)
-    out[0] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
-    out[1] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
-    for _ in range(100):
-        neg_params = draw_params(camera_bank, rng)
-        if neg_params != params:
-            break
-    else:
-        # only reachable with a fully degenerate bank (single point mass)
-        raise ConfigurationError("camera bank cannot produce a distinct negative tuple")
-    out[2] = add_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng)
+    with np.errstate(over="ignore"):  # an overflowing cast is refused below
+        out[0] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
+        out[1] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
+        for _ in range(100):
+            neg_params = draw_params(camera_bank, rng)
+            if neg_params != params:
+                break
+        else:
+            # only reachable with a fully degenerate bank (single point mass)
+            raise ConfigurationError("camera bank cannot produce a distinct negative tuple")
+        out[2] = add_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng)
+    if not np.isfinite(out).all():
+        raise DomainError(f"triplet patch holds a value that is not finite as {out.dtype}")
     return params

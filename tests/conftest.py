@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from heldout import train_anchor_params
+from refusals import REFUSALS
 from scipy import stats
 
 import rawnoise
@@ -137,6 +138,25 @@ def _train_toy(out_dir: Path) -> None:
     )
     checkpoint.save(out_dir / "final.nest")
     EstimatorCheckpoint(config=config, params=stage_snapshots[1]).save(out_dir / "stage1.nest")
+
+
+def _refusals(module, cls, name):
+    """The refusal-table group of a test: one row, or a dict of rows by test ID."""
+    return REFUSALS[f"{module.__name__}::{f'{cls.__name__}.' if cls else ''}{name}"]
+
+
+def pytest_generate_tests(metafunc):
+    """A test that takes ``refusal`` runs each row of its group, under the row's ID."""
+    if "refusal" in metafunc.fixturenames:
+        group = _refusals(metafunc.module, metafunc.cls, metafunc.definition.originalname)
+        if isinstance(group, dict):
+            metafunc.parametrize("refusal", list(group.values()), ids=list(group))
+
+
+@pytest.fixture()
+def refusal(request):
+    """The refusal-table row of a test whose group is one row (see ``refusals``)."""
+    return _refusals(request.module, request.cls, request.node.originalname)
 
 
 @pytest.fixture()

@@ -1,15 +1,15 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The learned-estimator
-criteria share one desk-scale training run (session fixture), so the whole
-module completes in a few minutes on CPU.
+criteria share one desk-scale training run (session fixture).  Run alone on
+a 2-CPU host (numpy 2.4.6, OpenBLAS) the module took 28.2 and 28.6 s, most
+of it waiting for the toy-training child.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 from cli_sequence import run_cli_sequence
 from conftest import gaussian_histogram
 from heldout import score_heldout

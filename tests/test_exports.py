@@ -1,8 +1,13 @@
-"""Every name a package lists in ``__all__`` resolves, so ``import *`` works."""
+"""Every name a package lists in ``__all__`` resolves, so ``import *`` works,
+and no module imports a name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("package", ["rawnoise", "rawnoise.estimator", "rawnoise.io"])
@@ -12,3 +17,30 @@ def test_every_exported_name_resolves(package):
     namespace = {}
     exec(f"from {package} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names ``tree`` imports and never reads, ``__all__`` entries counting as read."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}

@@ -1,5 +1,7 @@
 """The training set on several threads: the bytes and errors of a serial loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,18 @@ def test_a_degenerate_bank_is_refused_alike_at_any_thread_count(cpus, n):
     with pytest.raises(ConfigurationError) as caught:
         make_triplet_batch(_scenes(), [POINT_MASS], derive_stream(64, DATA_STREAM), 6)
     assert str(caught.value) == str(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_patch_beyond_float32_is_refused_alike_at_any_thread_count(cpus, n):
+    """A finite camera whose read-noise mean overflows the float32 stack."""
+    cpus(n)
+    bank = [replace(synthetic.default_camera_bank()[0], mu_c_model=1e300)]
+    _, expected = _first_error(_scenes(), bank, 64, 6)
+    with pytest.raises(DomainError) as caught:
+        make_triplet_batch(_scenes(), bank, derive_stream(64, DATA_STREAM), 6)
+    assert str(caught.value) == str(expected) == (
+        "triplet patch holds a value that is not finite as float32")
 
 
 @pytest.mark.parametrize("bad", [-1.0, 1e30], ids=["negative scene", "shot rate out of range"])

@@ -186,12 +186,13 @@ def add_noise(clean: np.ndarray, params: NoiseParams, rng: np.random.Generator) 
     The same draws leave ``rng`` in the same state; the parts are summed in
     place into the shot array in the same order, and ``clean`` is added
     last, which is the same IEEE sum because addition commutes.  A sum that
-    overflows float64 is left infinite, without a warning, for the caller's
-    finiteness check to refuse.
+    overflows float64, or meets infinite draws of opposite sign, is left
+    infinite or NaN, without a warning, for the caller's finiteness check
+    to refuse.
     """
     clean = as_patch(clean)
     noisy = sample_shot(clean, params.K, rng)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         noisy += sample_row(clean.shape, params.sigma_r, rng)
         noisy += sample_read(clean.shape, params.mu_c, params.sigma, rng)
         noisy += clean

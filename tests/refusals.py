@@ -188,12 +188,6 @@ def eval_kl_of(*flags, real: bytes = NRAW):
     return lambda base: eval_kl_inputs(base, *flags, real=real, synth=NRAW)
 
 
-def _nraw_float32(value: float) -> bytes:
-    """A (4, 8, 8) NRAW file of ``value``, written byte by byte: write_tensor refuses non-finite."""
-    header = b"NRAW" + struct.pack("<II4I", 1, 1, 3, 4, 8, 8)
-    return header + np.full((4, 8, 8), value, dtype="<f4").tobytes()
-
-
 def _calibrate(csv: bytes):
     return lambda base: calibrate_inputs(base, csv)
 
@@ -359,8 +353,11 @@ HEADERS = "image_id,K,sigma,mu_c,sigma_r or image_id,K,sigma,mu_c,sigma_r,iso"
 ISO_UNDERFLOWS = (b"image_id,K,sigma,mu_c,sigma_r,iso\n"
                   b"a,0.5,1.0,0.0,0.5,1e-300\nb,1.0,1.3,0.0,0.7,1e-300\n")
 MU_C_OVERFLOWS = ESTIMATES_HEADER + b"a,0.5,1.0,1e308,0.5\nb,1.0,1.3,1e308,0.7\n"
-# Noise parameters whose sum overflows float64 on a clean patch.
+# Noise parameters whose sum overflows float64 on a clean patch, and ones
+# whose row and read draws overflow to infinities, so that at the seeds
+# below an infinite row offset meets a read of the opposite sign (NaN).
 SUM_OVERFLOWS = '{"K": 1, "sigma": 1, "mu_c": 1e308, "sigma_r": 1e308}'
+SUM_IS_NAN = '{"K": 1, "sigma": 1e308, "mu_c": 0, "sigma_r": 1e308}'
 NOT_FLOAT32 = "tensor holds a value that is not finite as float32; NRAW cannot hold it"
 
 
@@ -565,7 +562,7 @@ REFUSALS = {
     "test_cli::TestTrainCommand.test_single_triplet_rejected_before_writing": Refusal(
         _train_json({"patch_height": 8, "patch_width": 8, "train_triplets": 1,
                      "cameras": ["x.json"], "out_checkpoint": "model.nest"}),
-        "CONFIG"),
+        "CONFIG", "train_triplets must be >= 2, got 1"),
     # Malformed NRAW, NEST, estimates-CSV and frame-set inputs, and noise that
     # no NRAW file or sampler can hold.
     "test_malformed_binary::test_malformed_input_is_coded_exit_2": {
@@ -593,6 +590,12 @@ REFUSALS = {
         "gen_dataset_dark_noise_sum_overflows_float64": Refusal(
             _gen_dataset("--mode", "dark", "--height", 8, "--width", 8, "--params", SUM_OVERFLOWS),
             "DOMAIN", NOT_FLOAT32),
+        "synthesize_noise_sum_is_nan": Refusal(
+            _plus(_synthesize(SUM_IS_NAN), "--seed", 5), "DOMAIN", NOT_FLOAT32),
+        "gen_dataset_dark_noise_sum_is_nan": Refusal(
+            _gen_dataset("--mode", "dark", "--height", 8, "--width", 8, "--params", SUM_IS_NAN,
+                         "--seed", 2),
+            "DOMAIN", NOT_FLOAT32),
         "gen_dataset_shot_rate_out_of_range": Refusal(
             _gen_dataset("--mode", "flat", "--levels", "1e30", "--height", 8, "--width", 8,
                          "--params", '{"K": 1e-10, "sigma": 1, "mu_c": 0, "sigma_r": 1}'),
@@ -606,10 +609,9 @@ REFUSALS = {
             _then(train_inputs,
                   lambda base: write_json(base / "camera.json", {**CAMERA, "mu_c_model": 1e300})),
             "DOMAIN", "triplet patch holds a value that is not finite as float32"),
-        "eval_kl_real_nan": Refusal(
-            eval_kl_of("--range", -1, 1, real=_nraw_float32(math.nan)), "DOMAIN"),
-        "eval_kl_real_inf": Refusal(
-            eval_kl_of("--range", -1, 1, real=_nraw_float32(math.inf)), "DOMAIN"),
+        **{f"eval_kl_real_{tag}": Refusal(
+            _then(eval_kl_of("--range", -1, 1), _fill("real.nraw", NON_FINITE[tag])), "DOMAIN",
+            "{base}/real.nraw holds a value that is not finite") for tag in ("nan", "inf")},
         "eval_kl_range_infinite": Refusal(eval_kl_of("--range", 0, "inf"), "DOMAIN"),
         "eval_kl_range_width_overflows": Refusal(eval_kl_of("--range", -1e308, 1e308), "DOMAIN"),
         "eval_kl_range_narrower_than_its_bins": Refusal(
@@ -657,7 +659,7 @@ REFUSALS = {
         "gen_dataset_flat_without_levels": Refusal(
             _gen_dataset("--mode", "flat", "--params", PARAMS_JSON), "CONFIG"),
         "eval_kl_clean_shape_unlike_real": Refusal(
-            eval_kl_of("--clean", "synth.nraw", real=_nraw_float32(0.0)), "DOMAIN"),
+            eval_kl_of("--clean", "synth.nraw", real=tensor_to_bytes(np.zeros((4, 8, 8)))), "DOMAIN"),
         "seed_not_an_integer": Refusal(
             lambda base: _set(synthesize_inputs(base), "--seed", "abc"), "USAGE"),
         "white_level_not_a_number": Refusal(_gen_dataset("--white-level", "abc"), "USAGE"),

@@ -19,28 +19,19 @@ def test_every_exported_name_resolves(package):
     assert set(module.__all__) <= namespace.keys()
 
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    """The names ``tree`` imports and never reads, ``__all__`` entries counting as read."""
-    imported = {
-        alias.asname or alias.name.split(".")[0]: node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    }
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
-
-
 def test_no_module_imports_a_name_it_never_uses():
-    unused = {}
+    """Every imported name is read, or listed in ``__all__``."""
+    unused = []
     for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
-        names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
-        if names:
-            unused[str(path.relative_to(ROOT))] = names
-    assert unused == {}
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for node in nodes
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                   if name not in read]
+    assert unused == []

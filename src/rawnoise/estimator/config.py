@@ -9,6 +9,7 @@ here so runs are reproducible from the config document alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -99,10 +100,20 @@ class EstimatorConfig(Record, error=ConfigurationError):
             raise ConfigurationError("param_weights must be 4 positive scalars")
         if self.batch_size < 2:
             raise ConfigurationError(f"batch size must be >= 2, got {self.batch_size}")
-        if self.learning_rate <= 0 or self.decay_epochs < 1 or self.decay_factor <= 0:
+        if self.decay_epochs < 1 or self.decay_factor <= 0:
             raise ConfigurationError("invalid learning-rate schedule")
         if self.epochs_per_stage < 0:
             raise ConfigurationError("invalid training run length")
+        # The rate is monotonic in the epoch, so its first and last epochs bound it.
+        for epoch in (0, max(self.epochs_per_stage - 1, 0)):
+            try:
+                rate = self.learning_rate_at(epoch)
+            except (OverflowError, ZeroDivisionError):  # the divisor leaves float's range
+                rate = math.nan
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigurationError(
+                    f"the learning rate at epoch {epoch} is not a finite number above 0"
+                )
         if self.train_triplets < 2:  # a batch needs two triplets for in-batch contrast
             raise ConfigurationError(f"train_triplets must be >= 2, got {self.train_triplets}")
         if any(dim < 2 or dim % 2 for dim in (self.patch_height, self.patch_width)):
@@ -111,3 +122,8 @@ class EstimatorConfig(Record, error=ConfigurationError):
             raise ConfigurationError(f"input_scale must be positive, got {self.input_scale}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+
+    def learning_rate_at(self, epoch: int) -> float:
+        """The step size of ``epoch`` within a stage: divided by ``decay_factor``
+        every ``decay_epochs`` epochs."""
+        return self.learning_rate / self.decay_factor ** (epoch // self.decay_epochs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, ShapeError
+from ..errors import ConfigurationError, DomainError, ShapeError
 from ..noise_core import NUM_CHANNELS, NoiseParams, as_patch
 from ..parallel import run_units
 from ..streams import DATA_STREAM, SHUFFLE_STREAM, derive_stream
@@ -149,7 +149,9 @@ def train(
     (stage, epoch, contrastive, regression, total) and the final losses.
     ``on_stage_end(stage, params)`` is invoked with a snapshot copy of the
     parameters after each stage, e.g. to evaluate the representation
-    before the head is attached; it does not influence the run.
+    before the head is attached; it does not influence the run.  An epoch
+    whose mean losses or trained parameters are not all finite raises
+    ``DomainError`` naming its stage and epoch.
     """
     expected = (NUM_CHANNELS, config.patch_height, config.patch_width)
     for scene in scene_pool:
@@ -173,23 +175,26 @@ def train(
     for stage, joint, trainable in stage_specs:
         optimizer = Adam(net.params, trainable)
         for epoch in range(config.epochs_per_stage):
-            lr = config.learning_rate / config.decay_factor ** (epoch // config.decay_epochs)
+            lr = config.learning_rate_at(epoch)
             order = shuffle_rng.permutation(len(dataset))
             epoch_parts = {"contrastive": 0.0, "regression": 0.0, "total": 0.0}
             n_batches = 0
-            for start in range(0, len(order), config.batch_size):
-                idx = order[start : start + config.batch_size]
-                if idx.size < 2:
-                    continue  # a lone triplet has no in-batch contrast
-                parts, cache, dz, dr = _losses(net, _take(dataset, idx), joint, np.float32)
-                grads = net.backward_batch(cache, dz, dr)
-                del cache  # else the next step's forward holds two caches at once
-                optimizer.step(net.params, grads, lr)
-                for key in epoch_parts:
-                    epoch_parts[key] += parts[key]
-                n_batches += 1
+            # A step that overflows is left infinite or NaN and refused after its epoch.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for start in range(0, len(order), config.batch_size):
+                    idx = order[start : start + config.batch_size]
+                    if idx.size < 2:
+                        continue  # a lone triplet has no in-batch contrast
+                    parts, cache, dz, dr = _losses(net, _take(dataset, idx), joint, np.float32)
+                    grads = net.backward_batch(cache, dz, dr)
+                    del cache  # else the next step's forward holds two caches at once
+                    optimizer.step(net.params, grads, lr)
+                    for key in epoch_parts:
+                        epoch_parts[key] += parts[key]
+                    n_batches += 1
             for key in epoch_parts:
                 epoch_parts[key] /= max(n_batches, 1)
+            _check_finite(stage, epoch, epoch_parts, {name: net.params[name] for name in trainable})
             loss_log.append({"stage": stage, "epoch": epoch, **epoch_parts})
             final_parts = epoch_parts
         if on_stage_end is not None:
@@ -202,6 +207,16 @@ def train(
         "loss_log": loss_log,
     }
     return EstimatorCheckpoint(config=config, params=net.params, metadata=metadata)
+
+
+def _check_finite(stage: int, epoch: int, losses: dict, params: dict) -> None:
+    """Refuse an epoch whose mean losses or trained parameters are not all finite."""
+    bad = [f"{key} loss" for key, value in losses.items() if not np.isfinite(value)]
+    bad += [f"parameter {name}" for name, value in params.items() if not np.isfinite(value).all()]
+    if bad:
+        raise DomainError(
+            f"training diverged at stage {stage}, epoch {epoch}: the {bad[0]} is not finite"
+        )
 
 
 def _stage_trainable(config: EstimatorConfig, stage: int) -> list[str]:

@@ -170,13 +170,16 @@ def synthesize_noise(
     yields the same realization.  ``noisy`` is ``clean + parts.total`` with
     ``parts.total = shot + row + read`` evaluated in that order; the output
     is left unclamped and unquantized so downstream statistics stay pure.
+    As in :func:`add_noise`, a sum that overflows float64, or meets infinite
+    draws of opposite sign, is left infinite or NaN without a warning.
     """
     clean = as_patch(clean)
     shot = sample_shot(clean, params.K, rng)
     row = sample_row(clean.shape, params.sigma_r, rng)
     read = sample_read(clean.shape, params.mu_c, params.sigma, rng)
-    total = shot + row + read
-    noisy = clean + total
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = shot + row + read
+        noisy = clean + total
     return noisy, NoiseSample(shot=shot, row=row, read=read, total=total)
 
 

@@ -609,6 +609,28 @@ REFUSALS = {
             _then(train_inputs,
                   lambda base: write_json(base / "camera.json", {**CAMERA, "mu_c_model": 1e300})),
             "DOMAIN", "triplet patch holds a value that is not finite as float32"),
+        # Configs whose training steps overflow, refused after the epoch that diverged.
+        **{f"train_{case}_diverges": Refusal(
+            lambda base, keys=keys: train_inputs(base, **keys), "DOMAIN",
+            f"training diverged at stage {stage}, epoch 0: the contrastive loss is not finite")
+           for case, keys, stage in [
+               ("tau_tiny", {"tau": 1e-300}, 1),
+               ("tau_loss_huge", {"tau_loss": 1e300}, 2),
+               ("learning_rate_huge", {"learning_rate": 1e300}, 1),
+               ("input_scale_huge", {"input_scale": 1e300}, 1),
+               ("param_weight_huge", {"param_weights": [1e300, 1, 1, 1]}, 2),
+           ]},
+        # Schedules whose rate at the third epoch overflows, or underflows to 0.
+        **{f"train_{case}": Refusal(
+            lambda base, keys=keys: train_inputs(base, decay_epochs=1, epochs_per_stage=3,
+                                                 **keys),
+            "CONFIG", "the learning rate at epoch 2 is not a finite number above 0",
+            reads_nothing=True)
+           for case, keys in [
+               ("decay_factor_huge", {"decay_factor": 1e300}),
+               ("decay_factor_tiny", {"decay_factor": 1e-300}),
+               ("learning_rate_decays_to_zero", {"learning_rate": 5e-324}),
+           ]},
         **{f"eval_kl_real_{tag}": Refusal(
             _then(eval_kl_of("--range", -1, 1), _fill("real.nraw", NON_FINITE[tag])), "DOMAIN",
             "{base}/real.nraw holds a value that is not finite") for tag in ("nan", "inf")},

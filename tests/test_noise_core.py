@@ -262,6 +262,20 @@ class TestAddNoise:
         assert noisy.tobytes() == reference.tobytes()
         assert rng.random(8).tobytes() == rng2.random(8).tobytes()
 
+    @pytest.mark.parametrize("params, seed", [
+        (NoiseParams(K=1.0, sigma=1.0, mu_c=1e308, sigma_r=1e308), 1),
+        (NoiseParams(K=1.0, sigma=1e308, mu_c=0.0, sigma_r=1e308), 5),
+    ], ids=["overflow", "nan"])
+    def test_same_infinities_and_nan_without_a_warning(self, params, seed):
+        """A sum beyond float64 is left infinite or NaN by both, silently."""
+        clean = np.full((4, 8, 8), 50.0)
+        rng, rng2 = derive_stream(seed, 0), derive_stream(seed, 0)
+        noisy = add_noise(clean, params, rng)
+        reference, _ = synthesize_noise(clean, params, rng2)
+        assert not np.isfinite(reference).all()
+        assert noisy.tobytes() == reference.tobytes()
+        assert rng.random(8).tobytes() == rng2.random(8).tobytes()
+
     def test_domain_errors_as_synthesize_noise(self):
         params = NoiseParams(K=1.0, sigma=1.0, mu_c=0.0, sigma_r=0.0)
         with pytest.raises(DomainError):

@@ -225,6 +225,13 @@ class TestComposedOracle:
         assert scanned.count((4, 16, 16)) == overflowing
 
 
+def pulled_through(frames, pulled):
+    """A generator of ``frames`` that appends each frame to ``pulled`` as it is read."""
+    for frame in frames:
+        pulled.append(frame)
+        yield frame
+
+
 class TestFirstBadDarkFrame:
     """The dark pass refuses a set at its first bad frame, before the next is read."""
 
@@ -246,22 +253,9 @@ class TestFirstBadDarkFrame:
         frames = [np.zeros(shape) if shape else np.full((4, 16, 16), np.nan) for shape in shapes]
         frames += [np.zeros((4, 16, 16))] * 5  # never read
         pulled = []
-
-        def counted():
-            for frame in frames:
-                pulled.append(frame)
-                yield frame
-
         with pytest.raises(error, match=re.escape(message)):
-            DARK_ESTIMATORS[estimator](counted())
+            DARK_ESTIMATORS[estimator](pulled_through(frames, pulled))
         assert len(pulled) == len(shapes)
-
-
-def pulled_through(frames, pulled):
-    """A generator of ``frames`` that appends each frame to ``pulled`` as it is read."""
-    for frame in frames:
-        pulled.append(frame)
-        yield frame
 
 
 class TestFirstBadFlatFrame:

@@ -56,14 +56,6 @@ def small_pools(count=6):
 
 
 class TestTrainLoop:
-    def test_bit_identical_reruns(self):
-        """One epoch per stage, same seed: checkpoints match byte-for-byte."""
-        config = small_config()
-        scenes, bank = small_pools()
-        first = train(config, scenes, bank)
-        second = train(config, scenes, bank)
-        assert first.to_bytes() == second.to_bytes()
-
     def test_configuration_errors_before_epochs(self):
         config = small_config()
         scenes, bank = small_pools()

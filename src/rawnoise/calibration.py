@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,7 @@ class CameraModel(Record, error=DomainError, ignore_unknown=True):
     alpha: float | None = None
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"camera model {field.name} must be finite, got {value}")
+        super().__post_init__()
         if not (self.K_min > 0 and self.K_min <= self.K_max):
             raise DomainError(f"need 0 < K_min <= K_max, got [{self.K_min}, {self.K_max}]")
         if self.sigma_hat < 0 or self.sigma_r_hat < 0:

@@ -436,9 +436,10 @@ class TrainData(Record, error=ConfigurationError, ignore_unknown=True):
     out_log: str | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.cameras:
             raise ConfigurationError("training config needs a non-empty 'cameras' list")
-        if not 0 < self.white_level < math.inf:
+        if self.white_level <= 0:
             raise ConfigurationError(f"white_level must be finite and > 0, got {self.white_level}")
         if "" in (self.out_checkpoint, self.out_log):
             raise ConfigurationError("out_checkpoint and out_log must be non-empty paths")

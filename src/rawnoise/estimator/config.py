@@ -29,6 +29,7 @@ class ConvStage(Record, error=ConfigurationError):
     nonlinearity: str = "relu"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kernel < 1 or self.stride < 1 or self.width < 1:
             raise ConfigurationError(f"conv stage fields must be >= 1, got {self}")
         if self.nonlinearity not in NONLINEARITIES:
@@ -75,10 +76,7 @@ class EstimatorConfig(Record, error=ConfigurationError):
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "extractor", tuple(self.extractor))
-        object.__setattr__(self, "projector", tuple(int(w) for w in self.projector))
-        object.__setattr__(self, "head", tuple(int(w) for w in self.head))
-        object.__setattr__(self, "param_weights", tuple(float(w) for w in self.param_weights))
+        super().__post_init__()
         if not self.extractor:
             raise ConfigurationError("extractor needs at least one conv stage")
         if self.feature_dim != 2 * self.extractor[-1].width:
@@ -96,7 +94,7 @@ class EstimatorConfig(Record, error=ConfigurationError):
         if self.tau_loss < 0:
             # zero is allowed: it degenerates the joint loss to pure regression
             raise ConfigurationError(f"tau_loss must be non-negative, got {self.tau_loss}")
-        if len(self.param_weights) != 4 or any(w <= 0 for w in self.param_weights):
+        if any(w <= 0 for w in self.param_weights):
             raise ConfigurationError("param_weights must be 4 positive scalars")
         if self.batch_size < 2:
             raise ConfigurationError(f"batch size must be >= 2, got {self.batch_size}")

@@ -29,7 +29,7 @@ _EXP_CLIP = 700.0  # largest exponent math.exp survives
 def param_transform_r(params: NoiseParams, weights=DEFAULT_PARAM_WEIGHTS) -> np.ndarray:
     """Map a parameter tuple into the weighted regression space."""
     if params.sigma <= 0 or params.sigma_r <= 0:
-        raise DomainError("param transform needs sigma > 0 and sigma_r > 0")
+        raise DomainError(f"param transform needs sigma > 0 and sigma_r > 0, got {params}")
     w1, w2, w3, w4 = weights
     return np.array(
         [

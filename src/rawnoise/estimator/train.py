@@ -149,9 +149,9 @@ def train(
     (stage, epoch, contrastive, regression, total) and the final losses.
     ``on_stage_end(stage, params)`` is invoked with a snapshot copy of the
     parameters after each stage, e.g. to evaluate the representation
-    before the head is attached; it does not influence the run.  An epoch
-    whose mean losses or trained parameters are not all finite raises
-    ``DomainError`` naming its stage and epoch.
+    before the head is attached; it does not influence the run.  An anchor
+    stage 2 cannot regress on raises ``DomainError`` before any step runs, as
+    does an epoch whose mean losses or trained parameters are not all finite.
     """
     expected = (NUM_CHANNELS, config.patch_height, config.patch_width)
     for scene in scene_pool:
@@ -164,6 +164,10 @@ def train(
     dataset = make_triplet_batch(
         scene_pool, camera_bank, derive_stream(config.seed, DATA_STREAM), config.train_triplets
     )
+    try:  # stage 2 regresses on every anchor: refuse one it cannot before stage 1 runs
+        param_targets(dataset.anchor_params, config.param_weights)
+    except DomainError as exc:
+        raise DomainError(f"a training anchor has no regression target: {exc}") from exc
     shuffle_rng = derive_stream(config.seed, SHUFFLE_STREAM)
 
     loss_log: list[dict] = []

@@ -50,14 +50,13 @@ class NoiseParams(Record, error=DomainError, ignore_unknown=True):
     sigma_r: float
 
     def __post_init__(self):
-        if not (self.K > 0 and math.isfinite(self.K)):
+        super().__post_init__()
+        if self.K <= 0:
             raise DomainError(f"K must be a positive finite scalar, got {self.K}")
-        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+        if self.sigma < 0:
             raise DomainError(f"sigma must be non-negative, got {self.sigma}")
-        if not (self.sigma_r >= 0 and math.isfinite(self.sigma_r)):
+        if self.sigma_r < 0:
             raise DomainError(f"sigma_r must be non-negative, got {self.sigma_r}")
-        if not math.isfinite(self.mu_c):
-            raise DomainError(f"mu_c must be finite, got {self.mu_c}")
 
 
 @dataclass(frozen=True)

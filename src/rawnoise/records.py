@@ -1,15 +1,15 @@
-"""One JSON codec for the pipeline's small records.
+"""One value rule and one JSON codec for the pipeline's small records.
 
-A record is a frozen dataclass that mixes in :class:`Record`.  Its JSON
-form is derived from its fields and their annotations, so each record's
-field list is written once, in the dataclass.  Encoding writes every
-field that is not None or an empty mapping, with nested records and
-tuples encoded recursively (tuples as lists).  Decoding checks each value
-against its field's annotation: ``float`` takes a finite JSON int or float
-(never a bool, NaN or Infinity) and stores a float, ``int`` takes a JSON int only,
-``tuple[...]`` takes a list of the right length, ``X | None`` takes null
-or an ``X``, and a nested record is decoded by this same code.  A missing
-field takes its default and is an error if it has none.
+A record is a frozen dataclass that mixes in :class:`Record`; its field
+list and annotations, written once in the dataclass, rule both.  Building a
+record, in Python or from JSON, checks each value against its annotation:
+``float`` takes a finite int or float (never a bool, NaN or infinity) and
+stores a float, ``int`` takes an int only, ``tuple[...]`` takes a list or
+tuple of the right length and stores a tuple, ``X | None`` takes None or an
+``X``, and a nested record takes that record or a dict it decodes.  A
+missing field takes its default and is an error if it has none.  Encoding
+writes every field that is not None or an empty mapping, with nested records
+and tuples encoded recursively (tuples as lists).
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import types
 import typing
 
 
 class Record:
-    """Mixin deriving ``as_dict``/``from_dict`` for a frozen dataclass.
+    """Mixin checking a frozen dataclass's fields and deriving ``as_dict``/``from_dict``.
 
-    Subclasses name, as class keywords, the error type that every decoding
-    failure (including one from ``__post_init__`` or a nested record) is
-    raised as, and whether keys that name no field are ignored rather than
-    refused: ``class T(Record, error=ConfigurationError, ignore_unknown=False)``.
+    Subclasses name, as class keywords, the error type that every failure
+    (of the field rule, their own ``__post_init__``, which calls this one
+    first, or a nested record) is raised as, and whether ``from_dict``
+    ignores keys that name no field rather than refusing them:
+    ``class T(Record, error=ConfigurationError, ignore_unknown=False)``.
     """
 
     error: typing.ClassVar[type[ValueError]]
@@ -37,6 +37,14 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls.error = error
         cls.ignore_unknown = ignore_unknown
+
+    def __post_init__(self):
+        for name, hint in _field_hints(type(self)).items():
+            try:
+                value = _decode(hint, getattr(self, name))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise self.error(f"{type(self).__name__}.{name}: {exc}") from exc
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
         record = {}
@@ -55,14 +63,7 @@ class Record:
             unknown = sorted(set(record) - set(hints))
             if unknown and not cls.ignore_unknown:
                 raise ValueError(f"unknown fields {unknown}")
-            values = {}
-            for name, hint in hints.items():
-                if name in record:
-                    try:
-                        values[name] = _decode(hint, record[name])
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        raise cls.error(f"{cls.__name__}.{name}: {exc}") from exc
-            return cls(**values)
+            return cls(**{name: record[name] for name in hints if name in record})
         except cls.error:
             raise
         except (TypeError, ValueError) as exc:
@@ -84,12 +85,19 @@ def _encode(value):
 
 
 def _decode(hint, value):
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
-        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-        return None if value is None else _decode(inner, value)
-    if origin is tuple:
-        if not isinstance(value, list):
+    if type(hint) is type:  # a plain class, not tuple[...] or X | None
+        if issubclass(hint, Record):
+            return value if isinstance(value, hint) else hint.from_dict(value)
+        accepted = (int, float) if hint is float else hint
+        if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+            raise TypeError(f"expected {hint.__name__}, got {value!r}")
+        if hint is float:
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {value!r}")
+        return value
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
         args = typing.get_args(hint)
         if args[-1] is Ellipsis:
@@ -97,13 +105,5 @@ def _decode(hint, value):
         elif len(value) != len(args):
             raise ValueError(f"expected {len(args)} items, got {len(value)}")
         return tuple(_decode(arg, item) for arg, item in zip(args, value))
-    if isinstance(hint, type) and issubclass(hint, Record):
-        return hint.from_dict(value)
-    accepted = (int, float) if hint is float else hint
-    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-        raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    if hint is float:
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"expected a finite number, got {value!r}")
-    return value
+    (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return None if value is None else _decode(inner, value)

@@ -609,6 +609,13 @@ REFUSALS = {
             _then(train_inputs,
                   lambda base: write_json(base / "camera.json", {**CAMERA, "mu_c_model": 1e300})),
             "DOMAIN", "triplet patch holds a value that is not finite as float32"),
+        # A finite camera whose sigma line underflows to 0, refused before stage 1 runs.
+        "train_camera_sigma_underflows": Refusal(
+            _then(train_inputs,
+                  lambda base: write_json(base / "camera.json", {**CAMERA, "b": -800.0})),
+            "DOMAIN", "a training anchor has no regression target: param transform needs "
+            "sigma > 0 and sigma_r > 0, got NoiseParams(K=1.19494630778343, sigma=0.0, mu_c=0.0, "
+            "sigma_r=0.9618269241007215)"),
         # Configs whose training steps overflow, refused after the epoch that diverged.
         **{f"train_{case}_diverges": Refusal(
             lambda base, keys=keys: train_inputs(base, **keys), "DOMAIN",

@@ -10,7 +10,7 @@ from conftest import naive_contrastive, toy_config
 from heldout import score_heldout
 
 from rawnoise import synthetic
-from rawnoise.errors import ConfigurationError
+from rawnoise.errors import ConfigurationError, DomainError
 from rawnoise.estimator import (
     ConvStage,
     EstimatorConfig,
@@ -65,6 +65,16 @@ class TestTrainLoop:
             train(config, scenes, [])
         with pytest.raises(ConfigurationError):
             train(config, [np.zeros((4, 16, 16))], bank)  # wrong patch shape
+
+    def test_untargetable_anchor_is_refused_before_any_step(self, monkeypatch):
+        def step(*args):
+            pytest.fail("a training step ran before the refusal")
+
+        monkeypatch.setattr(EstimatorNetwork, "backward_batch", step)
+        scenes, bank = small_pools()
+        camera = replace(bank[0], b=-800.0)  # its sigma line underflows to 0
+        with pytest.raises(DomainError, match="anchor has no regression target: .* sigma=0.0,"):
+            train(small_config(), scenes, [camera])
 
     def test_stage_snapshots_and_metadata(self):
         config = small_config(epochs_per_stage=2)

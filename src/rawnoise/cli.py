@@ -107,6 +107,8 @@ def _read_estimates(path: Path) -> tuple[list[str], list[tuple]]:
                 K=float(k), sigma=float(sigma), mu_c=float(mu_c), sigma_r=float(sigma_r)
             )
             iso = float(row[5]) if len(row) > 5 and row[5] != "" else None
+            if iso is not None and not 0 < iso < math.inf:
+                raise ValueError(f"iso: expected a finite number > 0, got {row[5]!r}")
         except ValueError as exc:
             raise DomainError(f"{path} row {line_num}: {exc}") from exc
         rows.append((image_id, params, iso))

@@ -33,6 +33,10 @@ kernel column).  A layer is then one forward GEMM with the bias added in
 place, one weight-gradient GEMM over the whole batch, and one column-
 gradient GEMM whose col2im adds the k*k column planes into each input
 pixel in (row, column) order, starting from zero.  The first
+convolution's columns need no weights, so a caller may build them
+beforehand (``im2col`` on a buffer bordered as ``first_conv_geometry``
+says) and hand them to ``forward_batch``; training builds the next
+batch's while the current one trains.  The first
 convolution's input gradient reaches no parameter, so it is never
 computed.
 
@@ -87,17 +91,44 @@ def parameter_shapes(config: EstimatorConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _conv_forward(x, weight, bias, stride, pad):
-    """Channel-major convolution: ``(c, h, w, n) -> (out, oh, ow, n)``."""
+def first_conv_geometry(config: EstimatorConfig) -> tuple[int, int, int]:
+    """Kernel, stride and pad of the first convolution folded onto the raw channels."""
+    stage = config.extractor[0]
+    return 2 * stage.kernel, 2 * stage.stride, 2 * (stage.kernel // 2)
+
+
+def im2col(xp, k, stride, out=None):
+    """The ``(c*k*k, oh*ow*n)`` column matrix of a zero-bordered ``(c, h, w, n)`` input.
+
+    ``out``, if given, is a flat buffer of at least that size whose start
+    is filled and returned as the matrix; otherwise a new array is.
+    """
+    c, n = xp.shape[0], xp.shape[3]
+    # (c, oh, ow, n, k, k) windows, transposed to the matrix's order; copying them is the one copy.
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    windows = windows.transpose(0, 4, 5, 1, 2, 3)
+    shape = (c * k * k, windows.shape[3] * windows.shape[4] * n)
+    if out is None:
+        return windows.reshape(shape)
+    out = out[: shape[0] * shape[1]]
+    out.reshape(windows.shape)[...] = windows
+    return out.reshape(shape)
+
+
+def _conv_forward(x, weight, bias, stride, pad, cols=None):
+    """Channel-major convolution: ``(c, h, w, n) -> (out, oh, ow, n)``.
+
+    ``cols``, if given, is the column matrix of ``x`` built beforehand
+    (see ``im2col``), and ``x`` is read for its shape only.
+    """
     c, h, w, n = x.shape
     out_ch, _, k, _ = weight.shape
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=weight.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = x
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    # (c, oh, ow, n, k, k) windows; reshaping the transposed view is the one copy.
-    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, oh * ow * n)
+    if cols is None:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=weight.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = x
+        cols = im2col(xp, k, stride)
     y = weight.reshape(out_ch, -1) @ cols
     y += bias[:, None]
     return y.reshape(out_ch, oh, ow, n), (x.shape, cols, pad)
@@ -203,19 +234,22 @@ class EstimatorNetwork:
             stride, pad = stage.stride, stage.kernel // 2
             if i == 0:
                 weight = haar_idwt2(weight * self._front_gain())
-                stride, pad = 2 * stride, 2 * pad
+                _, stride, pad = first_conv_geometry(self.config)
             bias = self.params[f"extractor.{i}.bias"]
             stages.append((weight.astype(dtype), bias.astype(dtype), stride, pad))
         return stages
 
-    def forward_batch(self, patches: np.ndarray, dtype=np.float64):
+    def forward_batch(self, patches: np.ndarray, dtype=np.float64, cols=None):
         """Run the full network on a stack of patches.
 
         Returns ``(h, z, r, cache)`` where ``h`` is the pooled feature,
         ``z`` the projection, ``r`` the head output in transformed
         parameter space, and ``cache`` what ``backward_batch`` reads.  The
         convolutions compute in ``dtype``; ``h`` and everything after it
-        are float64.
+        are float64.  ``cols``, if given, is the first convolution's column
+        matrix of ``patches`` in ``dtype``, built beforehand with ``im2col``
+        on a buffer bordered as ``first_conv_geometry`` says; the patches
+        are then read for their shape only.
         """
         patches = self._check_input(patches)
         x = patches.transpose(1, 2, 3, 0)  # copied once, into the first padded buffer
@@ -223,7 +257,8 @@ class EstimatorNetwork:
         for stage, (weight, bias, stride, pad) in zip(
             self.config.extractor, self._conv_stages(dtype)
         ):
-            y, conv_cache = _conv_forward(x, weight, bias, stride, pad)
+            y, conv_cache = _conv_forward(x, weight, bias, stride, pad, cols)
+            cols = None
             x = _nonlin_forward(y, stage.nonlinearity)
             conv_caches.append((conv_cache, x, weight, stride))
 

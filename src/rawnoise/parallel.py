@@ -10,12 +10,17 @@ CPUs than on one (medians 1.55x and 1.57x), where a GEMM control through
 the same runner (64 units of one 400x400 matmul) ran 1.86-2.29x and
 1.60-2.24x (medians 2.10x and 1.90x); the host's speed drifts between
 rounds, which is why single ratios pass 2x.
+
+Training is the second caller: ``run_ahead`` prepares the next batch's
+input on one helper thread while the calling thread trains on the current
+one.  Both take their thread count from ``cpu_count`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import queue
 import threading
 
 
@@ -58,3 +63,49 @@ def run_units(count: int, unit) -> None:
             helper.join()
     if failures:
         raise failures[min(failures)]
+
+
+def run_ahead(jobs):
+    """Yield ``job()`` for every job of ``jobs``, in order, one job ahead of the caller.
+
+    With more than one CPU, one helper thread runs job ``i + 1`` while the
+    caller uses the result of job ``i``; with one, each job runs on this
+    thread when its result is asked for.  Jobs are taken from ``jobs`` on the
+    calling thread, and the helper runs them one at a time in order, so job
+    ``i + 2`` may reuse what job ``i`` returned.  A job's error is raised
+    where its result would be yielded.  Closing the generator, as
+    ``contextlib.closing`` does when the caller returns or raises, waits for
+    the running job and joins the helper.
+    """
+    jobs = iter(jobs)
+    if cpu_count() < 2:
+        for job in jobs:
+            yield job()
+        return
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        while (job := todo.get()) is not None:
+            try:
+                done.put((job(), None))
+            except BaseException as exc:
+                done.put((None, exc))
+
+    job = next(jobs, None)
+    if job is None:
+        return
+    helper = threading.Thread(target=serve)
+    helper.start()
+    try:
+        todo.put(job)
+        while job is not None:
+            result, error = done.get()
+            if error is not None:
+                raise error
+            job = next(jobs, None)
+            if job is not None:
+                todo.put(job)
+            yield result
+    finally:
+        todo.put(None)
+        helper.join()

@@ -348,10 +348,10 @@ NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 LEVEL = "flats/level_00/clean.nraw"
 
 HEADERS = "image_id,K,sigma,mu_c,sigma_r or image_id,K,sigma,mu_c,sigma_r,iso"
+ISO_HEADER = b"image_id,K,sigma,mu_c,sigma_r,iso\n"
 # Estimates whose fit is not finite: iso**2 underflows, so the ISO-to-gain
 # slope is infinite, and the mean mu_c overflows.
-ISO_UNDERFLOWS = (b"image_id,K,sigma,mu_c,sigma_r,iso\n"
-                  b"a,0.5,1.0,0.0,0.5,1e-300\nb,1.0,1.3,0.0,0.7,1e-300\n")
+ISO_UNDERFLOWS = ISO_HEADER + b"a,0.5,1.0,0.0,0.5,1e-300\nb,1.0,1.3,0.0,0.7,1e-300\n"
 MU_C_OVERFLOWS = ESTIMATES_HEADER + b"a,0.5,1.0,1e308,0.5\nb,1.0,1.3,1e308,0.7\n"
 # Noise parameters whose sum overflows float64 on a clean patch, and ones
 # whose row and read draws overflow to infinities, so that at the seeds
@@ -444,6 +444,14 @@ REFUSALS = {
             ("non_numeric", "img1,1.0,abc,0.0,1.0", "could not convert string to float: 'abc'"),
             ("long", "img1,1.0,1.0,0.0,1.0,100", "expected 5 fields, got 6"),
         ]
+    },
+    # An ISO that is not a finite number above 0, refused by file and row.
+    "test_cli::TestCalibrate.test_iso_that_is_not_a_finite_positive_number_is_refused": {
+        case: Refusal(_calibrate(ISO_HEADER + f"img0,1.0,1.0,0.0,1.0,100\nimg1,2.0,1.5,0.0,1.2,"
+                                              f"{iso}\n".encode()),
+                      "DOMAIN", f"{{base}}/est.csv row 3: iso: expected a finite number > 0, "
+                                f"got '{iso}'")
+        for case, iso in [("inf", "inf"), ("nan", "nan"), ("zero", "0"), ("negative", "-1")]
     },
     # calibrate reads the two headers estimate --append writes, and no other:
     # an iso column after another column is not read as iso.

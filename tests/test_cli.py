@@ -121,6 +121,7 @@ class TestCalibrate:
         assert alpha == pytest.approx(0.005, rel=1e-12)
 
     test_malformed_row_is_domain_error = staticmethod(refusal_test)
+    test_iso_that_is_not_a_finite_positive_number_is_refused = staticmethod(refusal_test)
     test_header_with_other_columns_is_refused = staticmethod(refusal_test)
 
 

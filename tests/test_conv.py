@@ -27,8 +27,9 @@ from rawnoise.estimator import (
     backward,
     make_triplet_batch,
 )
-from rawnoise.estimator.network import _conv_backward, _conv_forward
-from rawnoise.estimator.train import _losses
+from rawnoise.estimator.losses import param_targets
+from rawnoise.estimator.network import _conv_backward, _conv_forward, first_conv_geometry, im2col
+from rawnoise.estimator.train import _losses, _stacked, _take
 from rawnoise.streams import derive_stream
 from rawnoise.wavelets import haar_dwt2
 
@@ -178,9 +179,40 @@ def test_float32_training_step_matches_float64_backward():
     batch = make_triplet_batch(scenes, synthetic.default_camera_bank(), derive_stream(3, 0), 32)
     net = EstimatorNetwork.initialize(config)
     exact = backward(batch, EstimatorCheckpoint(config=config, params=net.params))
-    _, cache, dz, dr = _losses(net, batch, True, np.float32)
+    targets = param_targets(batch.anchor_params, config.param_weights)
+    _, cache, dz, dr = _losses(net, batch, targets, np.float32)
     grads = net.backward_batch(cache, dz, dr)
     for name, value in exact.items():
         assert grads[name].dtype == np.float64
         error = np.linalg.norm(grads[name] - value) / np.linalg.norm(value)
         assert error <= 1e-4, (name, error)
+
+
+@pytest.mark.parametrize("size", [5, 3])
+def test_prebuilt_first_columns_give_the_same_forward_bytes(size):
+    """Training builds a batch's first-convolution columns ahead of its step,
+    in buffers sized for a full batch of 5, from a batch ``_take`` gathered
+    batch-innermost into a zero-bordered buffer; ``forward_batch`` on those
+    columns equals the plain pass bit for bit, a short batch of 3 included."""
+    config = EstimatorConfig(
+        patch_height=8, patch_width=8, extractor=(ConvStage(3, 2, 4), ConvStage(3, 1, 4)),
+        feature_dim=8, projector=(6, 4), head=(6, 4), batch_size=5, input_scale=1 / 64.0, seed=7,
+    )
+    scenes = synthetic.make_scene_pool(derive_stream(8, 0), 4, 8, 8)
+    dataset = make_triplet_batch(scenes, synthetic.default_camera_bank(), derive_stream(9, 0), 7)
+    idx = np.array([6, 0, 3, 5, 1])[:size]
+    net = EstimatorNetwork.initialize(config)
+    k, stride, pad = first_conv_geometry(config)
+    padded = np.zeros((4, 8 + 2 * pad, 8 + 2 * pad, 15), np.float32)
+    columns = np.full(4 * k * k * 2 * 2 * 15, np.nan, np.float32)  # 2x2 outputs
+
+    xp = padded[..., : 3 * size]
+    batch = _take(dataset, idx, xp[:, pad : pad + 8, pad : pad + 8])
+    patches = dataset.patches[:, idx].reshape(-1, 4, 8, 8)
+    assert batch.anchor_params == tuple(dataset.anchor_params[i] for i in idx)
+    assert np.array_equal(_stacked(batch), patches)
+    cols = im2col(xp, k, stride, columns)
+    prebuilt = net.forward_batch(_stacked(batch), np.float32, cols)
+    plain = net.forward_batch(patches, np.float32)
+    for got, want in zip(prebuilt[:3], plain[:3]):
+        assert got.tobytes() == want.tobytes()

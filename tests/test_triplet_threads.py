@@ -1,5 +1,8 @@
-"""The training set on several threads: the bytes and errors of a serial loop."""
+"""The training set on several threads, and training with its helper thread:
+the bytes and errors of a serial loop."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -69,17 +72,62 @@ def test_batch_bytes_do_not_depend_on_the_thread_count(cpus):
     assert tuple(draw_params(bank, stream) for stream in streams) == anchor_params
 
 
+SMALL = EstimatorConfig(
+    patch_height=8, patch_width=8, extractor=(ConvStage(3, 2, 4),), feature_dim=8,
+    projector=(6, 4), head=(6, 4), batch_size=4, epochs_per_stage=1,
+    train_triplets=9, input_scale=1 / 64.0, seed=62,
+)
+
+
 def test_checkpoint_bytes_do_not_depend_on_the_thread_count(cpus):
-    config = EstimatorConfig(
-        patch_height=8, patch_width=8, extractor=(ConvStage(3, 2, 4),), feature_dim=8,
-        projector=(6, 4), head=(6, 4), batch_size=4, epochs_per_stage=1,
-        train_triplets=9, input_scale=1 / 64.0, seed=62,
-    )
-    digests = set()
-    for n in (1, 2, 4):
+    """9 triplets in batches of 4 skip a last batch of 1; 10 train a short
+    last batch of 2 from the front of the full-size buffers."""
+    for triplets in (9, 10):
+        config = replace(SMALL, train_triplets=triplets)
+        digests = set()
+        for n in (1, 2, 4):
+            cpus(n)
+            digests.add(train(config, _scenes(), synthetic.default_camera_bank()).to_bytes())
+        assert len(digests) == 1, triplets
+
+
+def test_checkpoint_bytes_hold_when_threads_switch_often(cpus):
+    """The helper refills its buffers while steps run; with the interpreter
+    switching threads every microsecond, no step may read a refilled one."""
+    config = replace(SMALL, train_triplets=10)
+    scenes, bank = _scenes(), synthetic.default_camera_bank()
+    cpus(1)
+    expected = train(config, scenes, bank).to_bytes()
+    cpus(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert train(config, scenes, bank).to_bytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_training_at_one_cpu_starts_no_thread(cpus, no_thread):
+    cpus(1)
+    checkpoint = train(SMALL, _scenes(), synthetic.default_camera_bank())
+    assert len(checkpoint.metadata["loss_log"]) == 2
+
+
+def test_a_diverging_run_joins_its_helper(cpus):
+    """The step that overflows is refused after its epoch with the message
+    of a one-CPU run, and the helper thread has stopped by then."""
+    config = replace(SMALL, learning_rate=1e300)
+    scenes, bank = _scenes(), synthetic.default_camera_bank()
+    messages = []
+    for n in (1, 2):
         cpus(n)
-        digests.add(train(config, _scenes(), synthetic.default_camera_bank()).to_bytes())
-    assert len(digests) == 1
+        threads = threading.active_count()
+        with pytest.raises(DomainError, match="training diverged at stage 1, epoch 0") as caught:
+            train(config, scenes, bank)
+        assert threading.active_count() == threads, n
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def test_one_cpu_starts_no_thread(cpus, no_thread):

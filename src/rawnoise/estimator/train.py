@@ -149,15 +149,22 @@ def make_triplet_batch(scene_pool, camera_bank, rng, size: int) -> TripletBatch:
     return TripletBatch(patches=patches, anchor_params=tuple(anchor_params))
 
 
-def _take(batch: TripletBatch, idx: np.ndarray, out: np.ndarray) -> TripletBatch:
+def _take(
+    batch: TripletBatch, idx: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> TripletBatch:
     """Triplets ``idx`` of ``batch``, their patches copied into ``out``.
 
     ``out`` is a ``(4, H, W, 3 * len(idx))`` array, filled batch-innermost
-    in ``_stacked`` order; the batch returned views it.
+    in ``_stacked`` order; the batch returned views it.  Each stack slot is
+    gathered first into the front of ``scratch``, a flat float32 buffer of
+    at least one slot's size, so no step allocates.
     """
     b = len(idx)
+    gather = scratch[: out.size // 3].reshape(b, *batch.patches.shape[2:])
     for j in range(3):
-        out[..., j * b : (j + 1) * b] = batch.patches[j, idx].transpose(1, 2, 3, 0)
+        # "clip" writes straight into gather, where "raise" would buffer; idx is in range.
+        np.take(batch.patches[j], idx, axis=0, out=gather, mode="clip")
+        out[..., j * b : (j + 1) * b] = gather.transpose(1, 2, 3, 0)
     # Splitting one axis in two never copies, so this is a view of out.
     patches = out.transpose(3, 0, 1, 2).reshape(3, b, *out.shape[:3])
     return TripletBatch(patches, tuple(batch.anchor_params[i] for i in idx))
@@ -174,18 +181,20 @@ def _step_jobs(dataset: TripletBatch, config: EstimatorConfig, shuffle_rng, star
     the jobs.  Every job refills the buffer, so the batch, which views it,
     is good for its shape only once the next job starts; job ``i`` builds
     its columns in column buffer ``i % 2``, which step ``i`` reads until
-    job ``i + 2``.
+    job ``i + 2``.  Until then it is free, so job ``i`` first gathers its
+    triplets through it.
     """
     k, stride, pad = first_conv_geometry(config)
     h, w = config.patch_height, config.patch_width
     n = 3 * min(config.batch_size, len(dataset))
     padded = np.zeros((NUM_CHANNELS, h + 2 * pad, w + 2 * pad, n), np.float32)
     oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-    columns = [np.empty(NUM_CHANNELS * k * k * oh * ow * n, np.float32) for _ in range(2)]
+    size = NUM_CHANNELS * max(k * k * oh * ow * n, h * w * n // 3)  # columns, or one gathered slot
+    columns = [np.empty(size, np.float32) for _ in range(2)]
 
     def prepare(idx, cols):
         xp = padded[..., : 3 * len(idx)]
-        batch = _take(dataset, idx, xp[:, pad : pad + h, pad : pad + w])
+        batch = _take(dataset, idx, xp[:, pad : pad + h, pad : pad + w], cols)
         return idx, batch, im2col(xp, k, stride, cols)
 
     step = 0

@@ -11,7 +11,9 @@ stack in [anchor, positive, negative] order, like NRAW tensors on disk.
 Training convolves them in float32 as they are; inference and evaluation
 upcast them to float64 as the first convolution copies them into its
 padded buffer.  The stack is allocated first, and each triplet is drawn
-straight into its slice ``patches[:, i]``.
+into one float64 ``(3, 4, H, W)`` buffer, then cast into its slice
+``patches[:, i]`` at once, so a triplet makes one float32 cast and one
+finiteness check.
 """
 
 from __future__ import annotations
@@ -48,14 +50,18 @@ def draw_params(camera_bank, rng: np.random.Generator) -> NoiseParams:
 def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator, out) -> NoiseParams:
     """Draw one triplet into its (3, 4, H, W) stack slice ``out``; return the anchor tuple.
 
-    The negative tuple is redrawn on exact collision.  A patch that is not
-    finite once stored (a float32 ``out`` overflows past about 3.4e38) is
-    refused with DomainError, as an NRAW writer refuses it.
+    The negative tuple is redrawn on exact collision.  The three patches
+    are composed in one float64 buffer, under one ``np.errstate``, and cast
+    into ``out`` at once.  A patch that is not finite once stored (a float32
+    ``out`` overflows past about 3.4e38) is refused with DomainError, as an
+    NRAW writer refuses it.
     """
     params = draw_params(camera_bank, rng)
-    with np.errstate(over="ignore"):  # an overflowing cast is refused below
-        out[0] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
-        out[1] = add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng)
+    noisy = np.empty(out.shape)
+    # An infinite or NaN sum, or an overflowing cast, is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng, noisy[0])
+        add_noise(scene_pool[rng.integers(len(scene_pool))], params, rng, noisy[1])
         for _ in range(100):
             neg_params = draw_params(camera_bank, rng)
             if neg_params != params:
@@ -63,7 +69,8 @@ def augment_triplet(scene_pool, camera_bank, rng: np.random.Generator, out) -> N
         else:
             # only reachable with a fully degenerate bank (single point mass)
             raise ConfigurationError("camera bank cannot produce a distinct negative tuple")
-        out[2] = add_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng)
+        add_noise(scene_pool[rng.integers(len(scene_pool))], neg_params, rng, noisy[2])
+        out[...] = noisy
     if not np.isfinite(out).all():
         raise DomainError(f"triplet patch holds a value that is not finite as {out.dtype}")
     return params

@@ -18,10 +18,19 @@ This module owns that packing: :func:`packed_shape` is the one shape rule
 every layer checks a packed patch or frame against, :func:`sample_row`
 writes the channel-to-row mapping, and :func:`physical_row_means` and
 :func:`physical_col_means` read it back.
+
+Training draws thousands of small patches, often on two threads at once,
+where each numpy call around a sampler costs two to three times its
+one-thread time (the threads queue on the interpreter lock between calls).
+So the samplers make few calls: :func:`sample_shot` scales its counts with
+one multiply and scans the signal only when numpy's Poisson sampler has
+refused it, :func:`sample_row` fills its array with one broadcast
+assignment, and :func:`add_noise` can write into a caller's buffer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -71,7 +80,7 @@ class NoiseSample:
 
 def packed_shape(shape, what: str = "patch") -> tuple[int, int, int]:
     """``shape`` as a packed ``(4, H, W)`` with ``H, W >= 1``; ShapeError otherwise."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     if len(shape) != 3 or shape[0] != NUM_CHANNELS or min(shape) < 1:
         raise ShapeError(f"{what} must be packed (4, H, W) frames, got {shape}")
     return shape
@@ -94,23 +103,24 @@ def sample_shot(clean: np.ndarray, K: float, rng: np.random.Generator) -> np.nda
     """Shot-noise term ``K * N_s`` for a clean signal.
 
     The digital signal is reversed to expected photon counts ``clean / K``,
-    a Poisson count is drawn per pixel, and the result is scaled back, so
-    ``clean + sample_shot(...)`` has mean ``clean`` and variance
-    ``K * clean`` per pixel.  Real-valued rates are permitted; rates of
-    zero produce exactly zero noise.  A rate beyond the Poisson sampler's
-    range raises DomainError.
+    a Poisson count is drawn per pixel, and the result is scaled back with
+    one multiply, so ``clean + sample_shot(...)`` has mean ``clean`` and
+    variance ``K * clean`` per pixel.  Real-valued rates are permitted;
+    rates of zero produce exactly zero noise.  numpy's Poisson sampler
+    refuses every rate that is negative, NaN or past its range, so the
+    signal is scanned only when it does: a negative signal raises
+    DomainError as such, and any other refused rate as out of range.
     """
     clean = np.asarray(clean, dtype=np.float64)
     if not (K > 0 and math.isfinite(K)):
         raise DomainError(f"K must be positive, got {K}")
-    if np.any(clean < 0):
-        raise DomainError("clean signal must be non-negative for shot sampling")
     try:
         counts = rng.poisson(clean / K)
     except ValueError as exc:
+        if np.any(clean < 0):
+            raise DomainError("clean signal must be non-negative for shot sampling") from None
         raise DomainError(f"shot-noise rate clean / K is out of range (K={K}): {exc}") from exc
-    shot = counts.astype(np.float64)
-    shot *= K
+    shot = counts * K
     shot -= clean
     return shot
 
@@ -135,15 +145,11 @@ def sample_row(shape, sigma_r: float, rng: np.random.Generator) -> np.ndarray:
     _, height, width = packed_shape(shape)
     if not (sigma_r >= 0 and math.isfinite(sigma_r)):
         raise DomainError(f"sigma_r must be non-negative, got {sigma_r}")
-    offsets = rng.normal(loc=0.0, scale=sigma_r, size=2 * height)
-    out = np.empty((NUM_CHANNELS, height, width), dtype=np.float64)
-    even = offsets[0::2][:, None]
-    odd = offsets[1::2][:, None]
-    out[0] = even
-    out[1] = even
-    out[2] = odd
-    out[3] = odd
-    return out
+    # offsets[j] holds the offsets of physical rows 2j and 2j + 1, in draw order.
+    offsets = rng.normal(loc=0.0, scale=sigma_r, size=(height, 2))
+    out = np.empty((2, 2, height, width), dtype=np.float64)  # (row parity, channel, H, W)
+    out[...] = offsets.T[:, None, :, None]
+    return out.reshape(NUM_CHANNELS, height, width)
 
 
 def physical_row_means(frame: np.ndarray) -> np.ndarray:
@@ -182,20 +188,39 @@ def synthesize_noise(
     return noisy, NoiseSample(shot=shot, row=row, read=read, total=total)
 
 
-def add_noise(clean: np.ndarray, params: NoiseParams, rng: np.random.Generator) -> np.ndarray:
+def add_noise(
+    clean: np.ndarray, params: NoiseParams, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """The noisy patch of :func:`synthesize_noise`, bit for bit, without its parts.
 
     The same draws leave ``rng`` in the same state; the parts are summed in
-    place into the shot array in the same order, and ``clean`` is added
-    last, which is the same IEEE sum because addition commutes.  A sum that
-    overflows float64, or meets infinite draws of opposite sign, is left
-    infinite or NaN, without a warning, for the caller's finiteness check
-    to refuse.
+    the same order, and ``clean`` is added last, which is the same IEEE sum
+    because addition commutes.  A sum that overflows float64, or meets
+    infinite draws of opposite sign, is left infinite or NaN, without a
+    warning, for the caller's finiteness check to refuse.
+
+    ``clean`` is not scanned up front: a non-finite or negative signal is
+    one numpy's Poisson sampler refuses, and only then is it diagnosed, with
+    the refusals of :func:`as_patch` first and :func:`sample_shot` after.
+
+    ``out``, a float64 array of ``clean``'s shape that does not overlap it,
+    is for a caller that composes several patches: the sum is written into
+    it and returned, under the caller's ``np.errstate`` in place of this
+    function's own.
     """
-    clean = as_patch(clean)
-    noisy = sample_shot(clean, params.K, rng)
-    with np.errstate(over="ignore", invalid="ignore"):
-        noisy += sample_row(clean.shape, params.sigma_r, rng)
-        noisy += sample_read(clean.shape, params.mu_c, params.sigma, rng)
-        noisy += clean
-    return noisy
+    clean = np.asarray(clean, dtype=np.float64)
+    packed_shape(clean.shape)
+    try:
+        shot = sample_shot(clean, params.K, rng)
+    except DomainError:
+        as_patch(clean)  # a non-finite signal is refused as such first
+        raise
+    if out is None:
+        out, errors = shot, np.errstate(over="ignore", invalid="ignore")
+    else:
+        errors = contextlib.nullcontext()
+    with errors:
+        np.add(shot, sample_row(clean.shape, params.sigma_r, rng), out=out)
+        out += sample_read(clean.shape, params.mu_c, params.sigma, rng)
+        out += clean
+    return out

@@ -3,13 +3,15 @@
 Each unit draws on a random stream of its own (see ``streams``) and writes
 only its own outputs, so the order in which threads run the units changes
 no byte of the result.  numpy releases the interpreter lock inside its
-samplers and array loops, but the units also spend time in Python that
-holds it.  On a shared 2-vCPU Xeon host with one BLAS thread, two sets of
-8 rounds ran the 256-triplet draw 0.98-2.17x and 1.09-1.72x faster on two
-CPUs than on one (medians 1.55x and 1.57x), where a GEMM control through
-the same runner (64 units of one 400x400 matmul) ran 1.86-2.29x and
-1.60-2.24x (medians 2.10x and 1.90x); the host's speed drifts between
-rounds, which is why single ratios pass 2x.
+samplers and array loops, and every such call drops and retakes it, so
+each small numpy call around the samplers costs two to three times its
+one-thread time when two threads issue them at once.  On a shared 2-vCPU
+Xeon host with one BLAS thread, the samplers alone of the 256-triplet
+toy draw (32x32 patches) took 189 ms on one CPU and 113 ms on two, but
+the whole draw took a median 261 ms and 240 ms (1.09x) when the package
+made 74 numpy calls per triplet around them, and 242 ms and 215 ms
+(1.13x) at 49 calls (6 alternating process pairs of 10 draws at each CPU
+count).
 
 Training is the second caller: ``run_ahead`` prepares the next batch's
 input on one helper thread while the calling thread trains on the current

@@ -207,7 +207,7 @@ def test_prebuilt_first_columns_give_the_same_forward_bytes(size):
     columns = np.full(4 * k * k * 2 * 2 * 15, np.nan, np.float32)  # 2x2 outputs
 
     xp = padded[..., : 3 * size]
-    batch = _take(dataset, idx, xp[:, pad : pad + 8, pad : pad + 8])
+    batch = _take(dataset, idx, xp[:, pad : pad + 8, pad : pad + 8], columns)
     patches = dataset.patches[:, idx].reshape(-1, 4, 8, 8)
     assert batch.anchor_params == tuple(dataset.anchor_params[i] for i in idx)
     assert np.array_equal(_stacked(batch), patches)

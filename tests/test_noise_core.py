@@ -1,6 +1,7 @@
 """Statistical and structural contracts of the noise samplers."""
 
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -157,6 +158,75 @@ def test_unpacked_shapes_are_refused_everywhere(shape, check):
         PACKED_CHECKS[check](shape)
 
 
+# The refusals of a bad clean signal.  numpy's Poisson sampler refuses a
+# negative, NaN or infinite rate and one past its range; sample_shot names a
+# negative signal first and any other as out of range, with numpy's message,
+# and add_noise names a non-finite one before both.
+OUT_OF_RANGE = "shot-noise rate clean / K is out of range (K=2.0): lam value too large"
+NEGATIVE = "clean signal must be non-negative for shot sampling"
+NON_FINITE = "patch contains non-finite values"
+SHOT_PARAMS = NoiseParams(K=2.0, sigma=1.5, mu_c=-0.3, sigma_r=0.7)
+
+
+def _scene(*values):
+    """A (4, 3, 5) scene of 40.0 whose pixels from flat index 7 on are ``values``."""
+    clean = np.full((4, 3, 5), 40.0)
+    clean.flat[7 : 7 + len(values)] = values
+    return clean
+
+
+@pytest.mark.parametrize("values, shot_message, add_message", [
+    pytest.param((math.nan,), OUT_OF_RANGE, NON_FINITE, id="nan"),
+    pytest.param((math.inf,), OUT_OF_RANGE, NON_FINITE, id="+inf"),
+    pytest.param((-math.inf,), NEGATIVE, NON_FINITE, id="-inf"),
+    pytest.param((-1.0,), NEGATIVE, NEGATIVE, id="negative"),
+    pytest.param((math.nan, -1.0), NEGATIVE, NON_FINITE, id="nan and negative"),
+    pytest.param((1e30,), OUT_OF_RANGE, OUT_OF_RANGE, id="1e30"),
+])
+def test_a_bad_clean_signal_is_refused(values, shot_message, add_message):
+    clean = _scene(*values)
+    with pytest.raises(DomainError) as caught:
+        sample_shot(clean, SHOT_PARAMS.K, derive_stream(31, 0))
+    assert (type(caught.value), str(caught.value)) == (DomainError, shot_message)
+    with pytest.raises(DomainError) as caught:
+        add_noise(clean, SHOT_PARAMS, derive_stream(31, 0))
+    assert (type(caught.value), str(caught.value)) == (DomainError, add_message)
+
+
+def _digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+# sha256 of sample_shot, then add_noise, on one derive_stream(32, 0).
+ZERO_SIGNAL_DRAWS = (
+    "4b48f21a4b7a02bfbec19ef880a967a02334a3cdcef8ae83de2ef327ba8bc5dd",
+    "d6dd9bbe62ce52d7d4cb01bb507d1066a0209d49711e874b55a57134b9cedcf5",
+)
+
+
+@pytest.mark.parametrize("level", [-0.0, 0.0], ids=["-0.0", "0.0"])
+def test_a_zero_signal_draws_as_before(level):
+    """A signal of -0.0 is a Poisson rate of zero, as 0.0 is, not a refusal."""
+    clean = np.full((4, 3, 5), level)
+    rng = derive_stream(32, 0)
+    shot = sample_shot(clean, SHOT_PARAMS.K, rng)
+    noisy = add_noise(clean, SHOT_PARAMS, rng)
+    assert (_digest(shot), _digest(noisy)) == ZERO_SIGNAL_DRAWS
+
+
+def test_samplers_return_writable_float64_arrays_with_the_same_bytes():
+    rng = derive_stream(33, 0)
+    shot = sample_shot(_scene(0.0, 7.5, 900.0), SHOT_PARAMS.K, rng)
+    row = sample_row((4, 3, 5), SHOT_PARAMS.sigma_r, rng)
+    for array in (shot, row):
+        assert array.dtype == np.float64 and array.shape == (4, 3, 5)
+        assert array.flags.writeable and array.flags.c_contiguous
+    assert (_digest(shot), _digest(row)) == (
+        "bb6db452467df839ccf27e6d1d69a80536d8673c541af9e5a0647d5237a35956",
+        "5785bcdd603a827e7cc004e7592eb5b8859a7e7af92528df686af3ee4892e7e3",
+    )
+
+
 class TestSynthesizeNoise:
     def test_only_bias_survives_degenerate_params(self):
         """sigma = sigma_r = 0 on black input leaves exactly the bias."""
@@ -274,6 +344,22 @@ class TestAddNoise:
         reference, _ = synthesize_noise(clean, params, rng2)
         assert not np.isfinite(reference).all()
         assert noisy.tobytes() == reference.tobytes()
+        assert rng.random(8).tobytes() == rng2.random(8).tobytes()
+
+    @pytest.mark.parametrize("params", [
+        NoiseParams(K=0.5, sigma=2.5, mu_c=-0.7, sigma_r=1.3),
+        NoiseParams(K=1.0, sigma=1e308, mu_c=0.0, sigma_r=1e308),
+    ], ids=["finite", "nan"])
+    def test_out_holds_the_same_bytes(self, params):
+        """Written into a caller's buffer, under the caller's errstate, the
+        patch and the stream state are those of a plain call."""
+        clean = np.random.default_rng(4).uniform(0.0, 900.0, size=(4, 6, 4))
+        rng, rng2 = derive_stream(42, 0), derive_stream(42, 0)
+        out = np.full((2, 4, 6, 4), np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            noisy = add_noise(clean, params, rng, out[1])
+        assert noisy.base is out and np.isnan(out[0]).all()  # only out[1] is written
+        assert out[1].tobytes() == add_noise(clean, params, rng2).tobytes()
         assert rng.random(8).tobytes() == rng2.random(8).tobytes()
 
     def test_domain_errors_as_synthesize_noise(self):

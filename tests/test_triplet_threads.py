@@ -1,6 +1,7 @@
 """The training set on several threads, and training with its helper thread:
 the bytes and errors of a serial loop."""
 
+import hashlib
 import sys
 import threading
 from dataclasses import replace
@@ -19,7 +20,7 @@ from rawnoise.estimator import (
     make_triplet_batch,
     train,
 )
-from rawnoise.streams import DATA_STREAM, derive_stream
+from rawnoise.streams import DATA_STREAM, SCENE_STREAM, derive_stream
 
 POINT_MASS = CameraModel(
     a=0.5, b=0.0, a_r=0.5, b_r=0.0, sigma_hat=0.0, sigma_r_hat=0.0,
@@ -70,6 +71,28 @@ def test_batch_bytes_do_not_depend_on_the_thread_count(cpus):
     # Each stream draws its anchor tuple first, so the tuples alone cost no patches.
     streams = derive_stream(61, DATA_STREAM).spawn(11)
     assert tuple(draw_params(bank, stream) for stream in streams) == anchor_params
+
+
+# sha256 of the seed-1 toy training set (64 scenes of 32x32, 256 triplets):
+# its patch bytes, and the repr of its anchor tuples as dicts.
+TRAINING_SET_SHA256 = (
+    "e140e340085964a42edf572768830dbde868cf344356456e83b5a288dfc5fd40",
+    "1d58174bbb1d46aae7fef157f2c8bd1f35cb0c02a212a66c62f4a40fb820ef35",
+)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_training_set_keeps_its_bytes(cpus, n):
+    """Fixed digests, not a second run of ``augment_triplet``, so an edit that
+    moves both sides of the serial comparison above still shows."""
+    cpus(n)
+    scenes = synthetic.make_scene_pool(derive_stream(1, SCENE_STREAM), 64, 32, 32)
+    batch = make_triplet_batch(
+        scenes, synthetic.default_camera_bank(), derive_stream(1, DATA_STREAM), 256
+    )
+    anchors = repr([params.as_dict() for params in batch.anchor_params]).encode()
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (batch.patches.tobytes(), anchors))
+    assert digests == TRAINING_SET_SHA256
 
 
 SMALL = EstimatorConfig(
